@@ -4,8 +4,8 @@
 Times the tuning loop's Python-side hot paths — tree prediction, TED /
 BTED selection, bootstrap-ensemble fit/predict, and a full BTED+BAO
 tuning step — against the preserved pre-optimization reference
-implementations (``RegressionTree.predict_reference``,
-``ted_select(method="exact")``), and writes the numbers to a JSON
+implementations (``RegressionTree.predict_reference`` and the in-place
+TED loop in ``tests/ted_oracle.py``), and writes the numbers to a JSON
 artifact (``BENCH_hotpaths.json`` at the repo root by default).
 
 Three gates are built in:
@@ -29,9 +29,11 @@ import os
 import platform
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
+from repro.core import bted
 from repro.core.bao import BaoSettings
 from repro.core.bootstrap import BootstrapEnsemble
 from repro.core.bted import bted_select
@@ -44,6 +46,11 @@ from repro.nn.workloads import Conv2DWorkload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_hotpaths.json")
+
+# the reference TED loop lives with the tests, at the repo root
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
+from tests import ted_oracle  # noqa: E402
 
 
 def _best_of(fn, repeats):
@@ -102,17 +109,17 @@ def bench_binned_predict(repeats, scale):
 
 
 def bench_ted(repeats, scale):
-    """Incremental TED (``method='fast'``) vs the exact reference loop."""
+    """Incremental TED vs the in-place reference loop."""
     rng = np.random.default_rng(2)
     n = int(1600 * scale)
     features = rng.random((max(n, 64), 12))
     m = 64
 
     fast_s, fast = _best_of(
-        lambda: ted_select(features, m=m, mu=0.1, method="fast"), repeats
+        lambda: ted_select(features, m=m, mu=0.1), repeats
     )
     ref_s, ref = _best_of(
-        lambda: ted_select(features, m=m, mu=0.1, method="exact"), repeats
+        lambda: ted_oracle.ted_select(features, m=m, mu=0.1), repeats
     )
     return {
         "wall_s": fast_s,
@@ -125,18 +132,17 @@ def bench_ted(repeats, scale):
 
 
 def bench_bted(repeats, scale):
-    """Full BTED (Alg. 2) over a real config space, both TED back-ends."""
+    """Full BTED (Alg. 2) over a real config space, library vs oracle TED."""
     space = _task().space
     kwargs = dict(
         m=32, batch_candidates=max(int(200 * scale), 48), num_batches=4,
         seed=7,
     )
-    fast_s, fast = _best_of(
-        lambda: bted_select(space, ted_method="fast", **kwargs), repeats
-    )
-    exact_s, exact = _best_of(
-        lambda: bted_select(space, ted_method="exact", **kwargs), repeats
-    )
+    fast_s, fast = _best_of(lambda: bted_select(space, **kwargs), repeats)
+    with mock.patch.object(bted, "ted_select", ted_oracle.ted_select):
+        exact_s, exact = _best_of(
+            lambda: bted_select(space, **kwargs), repeats
+        )
     return {
         "wall_s": fast_s,
         "reference_s": exact_s,

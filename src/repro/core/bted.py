@@ -26,7 +26,6 @@ def bted_select(
     batch_candidates: int = 500,
     num_batches: int = 10,
     seed: SeedLike = None,
-    ted_method: str = "exact",
 ) -> List[int]:
     """Select an ``m``-point diverse initialization set from ``space``.
 
@@ -37,10 +36,9 @@ def bted_select(
     final TED pass returns 64.
 
     Returns config *indices* into ``space``, deduplicated (batches are
-    sampled independently, so their unions may overlap).  ``ted_method``
-    selects the TED back-end per batch ("exact" — the default,
-    trace-pinned — or the incremental "fast" path; see
-    :mod:`repro.core.ted`).
+    sampled independently, so their unions may overlap).  Each TED pass,
+    per batch and over the union, is :func:`~repro.core.ted.ted_select`,
+    which costs one kernel matrix-vector product per pick.
     """
     if m <= 0:
         raise ValueError("m must be positive")
@@ -58,7 +56,7 @@ def bted_select(
         batch_seed = derive_seed(root, "bted-batch", b)
         candidates = space.sample(batch_candidates, seed=batch_seed)
         feats = space.feature_matrix(candidates)
-        picked = ted_select(feats, m=m, mu=mu, method=ted_method)
+        picked = ted_select(feats, m=m, mu=mu)
         for row in picked:
             union.setdefault(int(candidates[row]), None)
 
@@ -66,5 +64,5 @@ def bted_select(
     if len(union_indices) <= m:
         return union_indices.tolist()
     union_feats = space.feature_matrix(union_indices)
-    final_rows = ted_select(union_feats, m=m, mu=mu, method=ted_method)
+    final_rows = ted_select(union_feats, m=m, mu=mu)
     return [int(union_indices[row]) for row in final_rows]

@@ -18,21 +18,14 @@ Yu, Bi & Tresp (ICML'06) that the paper cites — we use an RBF kernel
 median pairwise distance (a standard self-tuning choice).  This keeps
 the algorithm parameter-free apart from ``mu``.
 
-Two selection back-ends are available:
-
-* ``method="exact"`` (default) — the reference greedy loop, which
-  recomputes column norms with a full ``einsum`` over ``K`` and applies
-  the rank-1 deflation in place.  This is the pre-optimization
-  implementation, kept byte-for-byte so golden traces stay pinned.
-* ``method="fast"`` — an incremental variant that never rewrites ``K``:
-  deflation vectors are accumulated in a matrix ``V`` (so the deflated
-  kernel is implicitly ``K - V V^T``) and column norms/diagonal are
-  maintained by rank-1 updates.  Per pick this costs one BLAS
-  matrix-vector product instead of an ``einsum`` pass *plus* an
-  ``outer``-product allocation *plus* a full ``K`` rewrite.  The
-  arithmetic is algebraically identical but floating-point
-  reassociation can, in principle, flip near-tied argmax picks, so the
-  fast path is opt-in; equivalence is covered by property tests.
+The deflation is applied implicitly: ``K`` is never rewritten.
+Deflation vectors are accumulated in a matrix ``V`` (so the deflated
+kernel is ``K - V V^T``) and the column norms and diagonal are kept up
+to date by rank-1 updates, so each pick costs one BLAS matrix-vector
+product against the original kernel.  This is algebraically the
+in-place deflation above; only floating-point reassociation differs,
+which can flip an argmax only between picks whose scores tie to about
+1e-9 relative.
 """
 
 from __future__ import annotations
@@ -42,9 +35,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.utils.mathx import pairwise_sq_dists
-
-#: the selection back-ends accepted by :func:`ted_select`
-TED_METHODS = ("exact", "fast")
 
 
 def rbf_kernel(
@@ -81,7 +71,6 @@ def ted_select(
     m: int,
     mu: float = 0.1,
     bandwidth: Optional[float] = None,
-    method: str = "exact",
 ) -> List[int]:
     """Select ``m`` diverse, representative rows of ``features``.
 
@@ -89,63 +78,33 @@ def ted_select(
     (``TED(V, mu, m)``) with the kernel built by :func:`rbf_kernel`.
 
     ``m`` is clipped to ``len(features)``; ``mu`` is the regularization
-    coefficient (paper uses 0.1).  ``method`` picks the back-end (see
-    the module docstring); ``"fast"`` needs ``mu > 0`` and falls back
-    to ``"exact"`` otherwise.
+    coefficient (paper uses 0.1) and must be positive: it keeps the
+    deflation's denominator ``k(x, x) + mu`` away from zero once a
+    duplicate of a picked row has been deflated to nothing.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
-    if method not in TED_METHODS:
-        raise ValueError(f"method must be one of {TED_METHODS}")
     n = len(features)
     if n == 0:
         return []
     if m <= 0:
         raise ValueError("m must be positive")
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu!r}")
     m = min(m, n)
 
+    # K' = K - V V^T, where the t-th column of V is
+    # kx_t / sqrt(kx_t[x_t] + mu).  The score numerator (squared column
+    # norms) and denominator (diagonal) are updated in O(n) per pick:
+    #
+    #     ||K'_j||^2 = ||K_j||^2 - (2/c) kx_j (K kx)_j
+    #                  + (kx_j^2 / c^2) ||kx||^2
+    #     K'_jj      = K_jj - kx_j^2 / c
+    #
+    # with (K kx) the only O(n^2) term: one BLAS gemv against the
+    # original kernel plus O(n t) corrections through V.
     K = rbf_kernel(features, bandwidth=bandwidth)
-    if method == "fast" and mu > 0:
-        return _ted_select_fast(K, m, mu)
-    return _ted_select_exact(K, m, mu)
-
-
-def _ted_select_exact(K: np.ndarray, m: int, mu: float) -> List[int]:
-    """The pre-optimization greedy loop (reference implementation)."""
-    n = len(K)
-    selected: List[int] = []
-    available = np.ones(n, dtype=bool)
-    for _ in range(m):
-        col_norms = np.einsum("ij,ij->j", K, K)
-        scores = col_norms / (np.diag(K) + mu)
-        scores = np.where(available, scores, -np.inf)
-        x = int(np.argmax(scores))
-        selected.append(x)
-        available[x] = False
-        kx = K[:, x].copy()
-        K -= np.outer(kx, kx) / (kx[x] + mu)
-    return selected
-
-
-def _ted_select_fast(K: np.ndarray, m: int, mu: float) -> List[int]:
-    """Incremental greedy TED: rank-1 norm updates, ``K`` never rewritten.
-
-    Maintains the deflated kernel implicitly as ``K - V V^T`` where the
-    ``t``-th column of ``V`` is ``kx_t / sqrt(kx_t[x_t] + mu)``.  The
-    score numerator (squared column norms) and denominator (diagonal)
-    are updated in O(n) per pick from
-
-        ||K'_j||^2 = ||K_j||^2 - (2/c) kx_j (K kx)_j
-                     + (kx_j^2 / c^2) ||kx||^2
-        K'_jj      = K_jj - kx_j^2 / c
-
-    with ``(K kx)`` the only O(n^2) term — a single BLAS gemv against
-    the *original* kernel plus O(n t) corrections through ``V``.
-    """
-    n = len(K)
     col_norms = np.einsum("ij,ij->j", K, K)
     diag = np.diag(K).astype(np.float64, copy=True)
     V = np.empty((n, m))

@@ -36,12 +36,13 @@ class BTEDTuner(AutoTVMTuner):
         sa_steps: int = 120,
         transfer: Optional[TransferHistory] = None,
         executor: ExecutorSpec = None,
-        ted_method: str = "exact",
         warm_start=None,
         adaptive_sampling: bool = False,
         adaptive_keep: float = 0.5,
         refit: str = "full",
     ):
+        if mu <= 0:
+            raise ValueError(f"mu must be positive, got {mu!r}")
         super().__init__(
             task,
             seed=seed,
@@ -60,7 +61,6 @@ class BTEDTuner(AutoTVMTuner):
         self.mu = mu
         self.batch_candidates = batch_candidates
         self.num_batches = num_batches
-        self.ted_method = ted_method
 
     def _generate_initial(self) -> List[int]:
         return bted_select(
@@ -70,7 +70,6 @@ class BTEDTuner(AutoTVMTuner):
             batch_candidates=self.batch_candidates,
             num_batches=self.num_batches,
             seed=self.rng_pool.seed_for("bted-init"),
-            ted_method=self.ted_method,
         )
 
 

@@ -51,7 +51,6 @@ class BTEDBAOTuner(Tuner):
         model_factory: Optional[ModelFactory] = None,
         measure_batch_size: int = 1,
         executor: ExecutorSpec = None,
-        ted_method: str = "exact",
         warm_start=None,
         finish: Optional[str] = None,
         finish_after: Optional[int] = None,
@@ -75,6 +74,8 @@ class BTEDBAOTuner(Tuner):
             raise ValueError("finish_after must be positive")
         if finish_stagnation <= 0:
             raise ValueError("finish_stagnation must be positive")
+        if mu <= 0:
+            raise ValueError(f"mu must be positive, got {mu!r}")
         validate_adaptive(adaptive_keep)
         super().__init__(
             task, seed=seed, batch_size=measure_batch_size,
@@ -86,11 +87,10 @@ class BTEDBAOTuner(Tuner):
         self.mu = mu
         self.batch_candidates = batch_candidates
         self.num_batches = num_batches
-        self.ted_method = ted_method
         self.adaptive_sampling = adaptive_sampling
         self.adaptive_keep = adaptive_keep
         #: ensemble refit strategy: "full" (historical, golden-pinned)
-        #: or "incremental" (warm-started, opt-in like ted_method="fast")
+        #: or "incremental" (warm-started, opt-in with its own goldens)
         self.refit = refit
         self.bao = BaoOptimizer(
             task.space,
@@ -126,7 +126,6 @@ class BTEDBAOTuner(Tuner):
             batch_candidates=self.batch_candidates,
             num_batches=self.num_batches,
             seed=self.rng_pool.seed_for("bted-init"),
-            ted_method=self.ted_method,
         )
 
     def _should_finish(self) -> bool:

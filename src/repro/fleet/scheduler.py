@@ -110,10 +110,12 @@ class FleetError(RuntimeError):
         failures: Dict[str, BaseException],
         partial: FleetRunResult,
     ):
-        keys = ", ".join(sorted(failures))
+        keys = sorted(failures)
+        first = failures[keys[0]]
         super().__init__(
-            f"{len(failures)} fleet task(s) failed ({keys}); "
-            f"{len(partial.results)} completed before the abort"
+            f"{len(failures)} fleet task(s) failed ({', '.join(keys)}); "
+            f"{len(partial.results)} completed before the abort; "
+            f"{keys[0]}: {type(first).__name__}: {first}"
         )
         self.failures = failures
         self.partial = partial

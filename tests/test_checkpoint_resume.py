@@ -1,5 +1,6 @@
 """Checkpoint/resume: crash at any batch, resume bit-identically."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -60,6 +61,14 @@ def _crash_after(tuner, n_batches, path, n_trial, early_stopping=None):
             checkpoint=CheckpointPolicy(path=path, every=1),
             on_event=[bomb],
         )
+
+
+def _add_tuner_state(path, **extra):
+    """Rewrite the checkpoint at ``path`` with extra tuner attributes."""
+    ckpt = TuningCheckpoint.load(path)
+    payload = pickle.loads(ckpt.payload)
+    payload["tuner_state"].update(extra)
+    dataclasses.replace(ckpt, payload=pickle.dumps(payload)).save(path)
 
 
 class TestTuningCheckpointFile:
@@ -172,6 +181,35 @@ class TestCrashResume:
         fresh = make_tuner("random", dense_task, seed=1, batch_size=8)
         resumed = fresh.resume(path)
         assert _trace(resumed) == _trace(baseline)
+
+    @pytest.mark.parametrize("arm", ["bted", "bted+bao"])
+    @pytest.mark.parametrize("initialized", [False, True])
+    def test_checkpoint_carrying_ted_method_resumes(
+        self, tmp_path, dense_task, arm, initialized
+    ):
+        # BTED checkpoints once pickled a ``ted_method`` attribute; the
+        # resumed tuner takes it back but nothing reads it any more
+        kwargs = ARM_KWARGS[arm]
+        n_trial = 20
+        baseline = make_tuner(arm, dense_task, seed=5, **kwargs).tune(
+            n_trial=n_trial, early_stopping=None
+        )
+        path = tmp_path / "old.ckpt"
+        tuner = make_tuner(arm, dense_task, seed=5, **kwargs)
+        if initialized:
+            _crash_after(tuner, n_batches=1, path=path, n_trial=n_trial)
+        else:
+            tuner.snapshot(
+                n_trial=n_trial, early_stopping=None, initialized=False
+            ).save(path)
+        _add_tuner_state(path, ted_method="exact")
+        assert TuningCheckpoint.load(path).initialized is initialized
+
+        fresh = make_tuner(arm, dense_task, seed=5, **kwargs)
+        resumed = fresh.resume(path)
+        assert _trace(resumed) == _trace(baseline)
+        assert resumed.best_index == baseline.best_index
+        assert resumed.best_gflops == baseline.best_gflops
 
     def test_resume_continues_early_stopper_state(self, tmp_path, dense_task):
         window = 12

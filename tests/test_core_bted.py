@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import bted
 from repro.core.bted import bted_select
+from repro.nn.zoo import MODEL_BUILDERS, build_model
+from repro.pipeline.tasks import extract_tasks
+from repro.space.templates import build_space
 from repro.utils.mathx import pairwise_sq_dists
+from tests import ted_oracle
 
 
 class TestBtedSelect:
@@ -75,6 +80,19 @@ class TestBtedSelect:
             seed=3,
         )
         assert len(picked) == 64
+
+
+@pytest.mark.slow
+class TestOraclePicks:
+    """BTED at the paper's settings picks what the in-place TED loop picks."""
+
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_first_task_matches_oracle(self, model, monkeypatch):
+        spec = extract_tasks(build_model(model))[0]
+        space = build_space(spec.workload, spec.template)
+        picked = bted_select(space, seed=0)
+        monkeypatch.setattr(bted, "ted_select", ted_oracle.ted_select)
+        assert picked == bted_select(space, seed=0)
 
 
 def _mean_nn_distance(features: np.ndarray) -> float:

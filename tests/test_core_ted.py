@@ -67,8 +67,9 @@ class TestTedSelect:
         X = np.ones((5, 2))
         with pytest.raises(ValueError):
             ted_select(X, m=0)
-        with pytest.raises(ValueError):
-            ted_select(X, m=2, mu=-1.0)
+        for mu in (0.0, -1.0):
+            with pytest.raises(ValueError, match="mu"):
+                ted_select(X, m=2, mu=mu)
         with pytest.raises(ValueError):
             ted_select(np.ones(5), m=2)
 

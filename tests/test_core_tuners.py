@@ -117,6 +117,15 @@ class TestBTEDTuner:
         assert result.num_measurements == 48
 
 
+@pytest.mark.parametrize(
+    "arm", ["bted", "bted+as", "bted+bao", "bted+bao+as", "bted+bao+droplet"]
+)
+@pytest.mark.parametrize("mu", [0.0, -0.1])
+def test_bted_arms_reject_nonpositive_mu(small_task, arm, mu):
+    with pytest.raises(ValueError, match="mu"):
+        make_tuner(arm, small_task, seed=0, mu=mu)
+
+
 @pytest.mark.slow
 class TestBTEDBAOTuner:
     def make(self, task, **bao_kwargs):

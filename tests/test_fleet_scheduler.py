@@ -197,6 +197,7 @@ class TestSchedulerSerial:
         err = excinfo.value
         assert set(err.failures) == {"t02"}
         assert isinstance(err.failures["t02"], RuntimeError)
+        assert "t02: RuntimeError: boom" in str(err)
         # worker 0 ran t00 before reaching t02; nothing after the abort
         assert err.partial.results == {"t00": 0}
 

@@ -3,9 +3,10 @@
 Every optimization in the hot-path PR must be either bit-identical to
 the reference implementation it replaced (vectorized tree predict,
 boolean-mask kernel bandwidth, ``np.isin`` visited filtering,
-``FeatureCache``) or an explicitly opt-in fast path whose divergence is
-bounded by floating-point near-ties (incremental TED).  These tests
-check those contracts over random inputs.
+``FeatureCache``) or, where the arithmetic was reassociated
+(incremental TED against the in-place loop in ``tests/ted_oracle.py``),
+divergent only on floating-point near-ties.  These tests check those
+contracts over random inputs.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.learning.tree import RegressionTree
 from repro.nn.workloads import DenseWorkload
 from repro.space.space import FeatureCache
 from repro.utils.mathx import pairwise_sq_dists
+from tests import ted_oracle
 
 PROPERTY = settings(
     max_examples=25,
@@ -97,6 +99,8 @@ def _exact_scores(K, picks, mu):
 
 
 class TestTedFastEquivalence:
+    """The incremental ``ted_select`` against the in-place oracle loop."""
+
     @given(
         seed=st.integers(0, 10**6),
         n=st.integers(8, 120),
@@ -111,14 +115,14 @@ class TestTedFastEquivalence:
         rng = np.random.default_rng(seed)
         features = rng.random((n, d))
         m = min(m, n)
-        exact = ted_select(features, m=m, mu=mu, method="exact")
-        fast = ted_select(features, m=m, mu=mu, method="fast")
+        exact = ted_oracle.ted_select(features, m=m, mu=mu)
+        fast = ted_select(features, m=m, mu=mu)
         assert len(fast) == len(exact) == m
         assert len(set(fast)) == m
         if fast == exact:
             return
         # the first divergence must be a floating-point near-tie: the
-        # exact-path scores of the two picks agree to ~1e-9 relative
+        # oracle's scores of the two picks agree to ~1e-9 relative
         step = next(i for i, (a, b) in enumerate(zip(exact, fast)) if a != b)
         K = rbf_kernel(features)
         scores = _exact_scores(K, exact[:step], mu)
@@ -126,16 +130,14 @@ class TestTedFastEquivalence:
         tol = 1e-9 * max(1.0, abs(scores[exact[step]]))
         assert gap <= tol, f"fast TED diverged on a non-tie (gap={gap})"
 
-    def test_fast_falls_back_to_exact_for_nonpositive_mu(self):
+    def test_duplicate_rows_still_select_distinct_points(self):
+        # deflating a pick leaves its duplicate a diagonal of
+        # mu / (1 + mu), so with mu > 0 every score stays finite
         rng = np.random.default_rng(0)
-        features = rng.random((40, 4))
-        assert ted_select(features, m=8, mu=0.0, method="fast") == ted_select(
-            features, m=8, mu=0.0, method="exact"
-        )
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            ted_select(np.ones((4, 2)), m=2, method="bogus")
+        features = np.repeat(rng.random((10, 3)), 2, axis=0)
+        picked = ted_select(features, m=15, mu=0.1)
+        assert picked == ted_oracle.ted_select(features, m=15, mu=0.1)
+        assert len(set(picked)) == 15
 
 
 class TestKernelBandwidthEquivalence:

@@ -256,6 +256,18 @@ class TestStructuredErrors:
         assert excinfo.value.status == 409
         assert excinfo.value.code == "invalid_transition"
 
+    def test_nonpositive_mu_fails_the_job_naming_mu(self, client):
+        # tuner_kwargs reach the tuner constructor, which refuses a TED
+        # regularizer that would divide by zero; a model no other test
+        # tunes keeps the tuning log from answering the job instead
+        kwargs = {**SPEC["tuner_kwargs"], "mu": 0.0}
+        job = client.submit(
+            **{**SPEC, "model": "squeezenet-v1.1", "tuner_kwargs": kwargs}
+        )
+        done = client.wait(job["job_id"], timeout_s=60.0)
+        assert done["state"] == "failed"
+        assert "mu must be positive" in done["error"]
+
 
 class TestAdmissionOverHTTP:
     """Quota/priority/cancel behaviour through the HTTP surface.
