@@ -63,7 +63,7 @@ class HardwareEmulator(Measurer):
 
     Wraps an existing measurer's state and sleeps ``latency_s`` before
     each deployment, emulating a real board's round-trip time.  Pickled
-    copies — the clones the pipelined loop hands to its speculation
+    copies — the clones the tuning loop hands to its speculation
     thread — drop the latency, because speculation *predicts* the
     deterministic result instead of deploying anything.
     """
@@ -88,7 +88,7 @@ class ProductionScaleModels:
 
     Mirrors the ensemble's default factory but lets the benchmark dial
     the per-member boosting rounds up to production scale.  Must stay a
-    module-level class: the pipelined loop pickles the tuner (factory
+    module-level class: the speculating tuning loop pickles the tuner (factory
     included) every batch.
     """
 

@@ -12,6 +12,9 @@ Run directly (used by CI)::
 
     python scripts/kill_and_resume.py [--arm bted] [--n-trial 32]
 
+``--compile``, ``--fleet`` and ``--service`` kill a compile without
+a fleet, a fleet compile and the tuning service instead.
+
 Exit code 0 means the determinism contract held.
 """
 
@@ -110,9 +113,11 @@ print(json.dumps({{
 """
 
 
-# Fleet child: shard a two-task compile over a device pool with
-# per-device checkpointing.  Fault injection with a real retry backoff
-# paces the workers so the parent can SIGKILL one mid-batch.
+# Compile child: a two-task compile with per-task checkpointing, either
+# sharded over a device pool (per-device checkpoint subdirectories) or
+# without a fleet (checkpoints directly in the directory).  Fault
+# injection with a real retry backoff paces the workers so the parent
+# can SIGKILL one mid-batch.
 _FLEET_CHILD = """
 import sys
 sys.path.insert(0, {src!r})
@@ -137,18 +142,17 @@ DeploymentCompiler(b.graph, env_seed=123).tune(
     retry=RetryPolicy(max_retries=4, backoff_s=0.05),
     observation=RunObservation(enable_metrics=False, enable_trace=False),
     checkpoint_dir={ckpt_dir!r},
-    fleet={devices!r}, fleet_jobs=2,
+    fleet={fleet!r}, fleet_jobs={fleet_jobs!r},
 )
 print("CHILD-FINISHED")
 """
 
 # Fresh process: the baseline (serial, or an uninterrupted fleet run
-# for mixed pools) or the resumed fleet run; either way, dump the
+# for mixed pools) or the resumed compile; either way, dump the
 # record stream and the per-task deterministic summaries.
-# Bit-equality across the two closes the loop: SIGKILL one fleet
-# worker mid-batch, resume the fleet, and you still reproduce the
-# baseline exactly — each task measured on its home device's cost
-# model.
+# Bit-equality across the two closes the loop: SIGKILL the compile
+# mid-batch, resume it, and you still reproduce the baseline exactly —
+# each task measured on its home device's cost model.
 _FLEET_RUNNER = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -177,7 +181,7 @@ DeploymentCompiler(b.graph, env_seed=123).tune(
     faults=FaultModel(rate=0.3, seed=13),
     retry=RetryPolicy(max_retries=4),
     record_store=store, observation=observation,
-    checkpoint_dir=ckpt_dir if fleet else None,
+    checkpoint_dir=ckpt_dir,
     resume={resume!r},
     fleet=fleet, fleet_jobs=2 if fleet else None,
 )
@@ -404,17 +408,24 @@ def _is_serial_equivalent(devices: str) -> bool:
 
 
 def _fleet_main(args) -> int:
-    """SIGKILL a fleet worker mid-batch, resume the pool, compare.
+    """SIGKILL a compile mid-batch, resume it, compare.
 
-    For a uniform ``gtx1080ti`` pool the baseline is the *serial*
-    single-device run: fleet sharding with work stealing must reproduce
-    it bit-for-bit even across a kill and a whole-fleet resume from the
-    per-device checkpoints.  For a mixed pool each task is measured on
-    its home device, so the baseline is an *uninterrupted fleet run*
-    with the same spec — kill/resume must not change a single record.
+    ``--fleet`` kills one worker of a device pool.  For a uniform
+    ``gtx1080ti`` pool the baseline is the *serial* single-device run:
+    fleet sharding with work stealing must reproduce it bit-for-bit
+    even across a kill and a whole-fleet resume from the per-device
+    checkpoints.  For a mixed pool each task is measured on its home
+    device, so the baseline is an *uninterrupted fleet run* with the
+    same spec — kill/resume must not change a single record.
+    ``--compile`` kills a compile without a fleet, whose checkpoints
+    sit directly in the checkpoint directory, and compares the resumed
+    compile to an uninterrupted serial one.
     """
     kwargs = ARM_KWARGS[args.arm]
-    serial_baseline = _is_serial_equivalent(args.devices)
+    fleet = not args.compile
+    serial_baseline = not fleet or _is_serial_equivalent(args.devices)
+    pattern = "device-*/task-*.ckpt" if fleet else "task-*.ckpt"
+    what = "fleet" if fleet else "compile"
     with tempfile.TemporaryDirectory() as tmp:
         ckpt_dir = os.path.join(tmp, "fleet-ckpt")
 
@@ -431,23 +442,28 @@ def _fleet_main(args) -> int:
                                   devices=args.devices, fleet=True,
                                   resume=False)
 
-        print(f"[2/4] starting fleet child on {args.devices} "
-              "(2 workers, fault injection with real retry backoff)")
+        if fleet:
+            print(f"[2/4] starting fleet child on {args.devices} "
+                  "(2 workers, fault injection with real retry backoff)")
+        else:
+            print("[2/4] starting compile child without a fleet "
+                  "(fault injection with real retry backoff)")
         child = subprocess.Popen(
             [sys.executable, "-c", _FLEET_CHILD.format(
                 src=str(SRC), arm=args.arm, kwargs=kwargs,
                 n_trial=args.n_trial, ckpt_dir=ckpt_dir,
-                devices=args.devices,
+                fleet=args.devices if fleet else None,
+                fleet_jobs=2 if fleet else None,
             )],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        # wait until some per-device task checkpoint has been rewritten
-        # after its step-0 snapshot — i.e. a worker is mid-batch
+        # wait until some task checkpoint has been rewritten after its
+        # step-0 snapshot — i.e. a worker is mid-batch
         deadline = time.monotonic() + args.timeout
         first_mtimes: dict = {}
         killed_mid_run = False
         while time.monotonic() < deadline:
-            for path in Path(ckpt_dir).glob("device-*/task-*.ckpt"):
+            for path in Path(ckpt_dir).glob(pattern):
                 mtime = path.stat().st_mtime_ns
                 seen = first_mtimes.setdefault(path, mtime)
                 if mtime != seen:
@@ -456,27 +472,29 @@ def _fleet_main(args) -> int:
                 break
             time.sleep(0.02)
         if child.poll() is not None:
-            print("fleet child finished before it could be killed; "
+            print(f"{what} child finished before it could be killed; "
                   "increase --n-trial", file=sys.stderr)
             return 1
 
-        print("[3/4] delivering SIGKILL to the fleet mid-batch")
+        print(f"[3/4] delivering SIGKILL to the {what} mid-batch")
         child.send_signal(signal.SIGKILL)
         child.wait()
-        if not list(Path(ckpt_dir).glob("device-*/task-*")):
-            print("no per-device checkpoints survived the kill",
+        if not list(Path(ckpt_dir).glob(pattern.replace(".ckpt", ""))):
+            print(f"no {what} checkpoints survived the kill",
                   file=sys.stderr)
             return 1
 
-        what = "serial" if serial_baseline else "uninterrupted fleet"
-        print(f"[4/4] resuming the whole fleet and comparing to the "
-              f"{what} baseline")
+        baseline_name = (
+            "serial" if serial_baseline else "uninterrupted fleet"
+        )
+        print(f"[4/4] resuming the whole {what} and comparing to the "
+              f"{baseline_name} baseline")
         resumed = _run_fleet(args.arm, kwargs, args.n_trial, ckpt_dir,
-                             devices=args.devices, fleet=True, resume=True)
+                             devices=args.devices, fleet=fleet, resume=True)
 
         if resumed != baseline:
-            print(f"MISMATCH: resumed fleet diverged from the {what} "
-                  "baseline", file=sys.stderr)
+            print(f"MISMATCH: resumed {what} diverged from the "
+                  f"{baseline_name} baseline", file=sys.stderr)
             for i, (b, r) in enumerate(
                 zip(baseline["records"], resumed["records"])
             ):
@@ -488,10 +506,10 @@ def _fleet_main(args) -> int:
                 print("  per-task summaries differ", file=sys.stderr)
             return 1
 
-        print(f"OK: SIGKILL + whole-fleet resume reproduced all "
+        print(f"OK: SIGKILL + whole-{what} resume reproduced all "
               f"{len(baseline['records'])} records and "
               f"{len(baseline['summaries'])} per-task summaries of the "
-              f"{what} run")
+              f"{baseline_name} run")
         return 0
 
 
@@ -510,6 +528,11 @@ def main() -> int:
                              "against the baseline (serial for a uniform "
                              "gtx1080ti pool, an uninterrupted fleet run "
                              "otherwise)")
+    parser.add_argument("--compile", action="store_true",
+                        help="kill a two-task compile without a fleet "
+                             "(checkpoints directly in the directory) "
+                             "mid-batch, resume it, and compare against "
+                             "an uninterrupted serial compile")
     parser.add_argument("--devices", default="gtx1080ti,gtx1080ti",
                         help="fleet spec for --fleet (comma-separated "
                              "presets, optional :fault_rate suffixes)")
@@ -528,13 +551,17 @@ def main() -> int:
                         help="--service only: copy the final jobs.sqlite "
                              "here (e.g. for a CI artifact)")
     args = parser.parse_args()
-    if args.service and (args.fleet or args.pipeline):
-        parser.error("--service is its own mode; drop --fleet/--pipeline")
+    if args.service and (args.fleet or args.pipeline or args.compile):
+        parser.error(
+            "--service is its own mode; drop --fleet/--pipeline/--compile"
+        )
     if args.service:
         return _service_main(args)
-    if args.fleet and args.pipeline:
-        parser.error("--pipeline is a single-run mode; drop --fleet")
-    if args.fleet:
+    if args.compile and args.fleet:
+        parser.error("--compile runs without a fleet; drop --fleet")
+    if (args.fleet or args.compile) and args.pipeline:
+        parser.error("--pipeline is a single-run mode; drop --fleet/--compile")
+    if args.fleet or args.compile:
         return _fleet_main(args)
     kwargs = ARM_KWARGS[args.arm]
 

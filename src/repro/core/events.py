@@ -215,14 +215,15 @@ class TlogExactHit(TuningEvent):
 
 @dataclass(frozen=True)
 class SpeculationResolved(TuningEvent):
-    """The pipelined loop resolved one speculative proposal.
+    """The tuning loop resolved one speculative proposal.
 
-    Emitted only with ``pipeline=True``, after the concurrent
-    measurement lands: ``adopted=True`` means the speculation's
-    predicted results matched the real ones bit-for-bit and its
-    proposal was kept; ``adopted=False`` means it was discarded and
-    the proposal replayed serially.  Filtered out of serial-vs-pipelined
-    trace comparisons (it is the only event the modes don't share).
+    Emitted only with speculation on (``pipeline=True``), after the
+    concurrent measurement lands: ``adopted=True`` means the
+    speculation's predicted results matched the real ones bit-for-bit
+    and its proposal was kept; ``adopted=False`` means it was discarded
+    and the loop proposed from the real state.  Filtered out when
+    comparing runs with speculation on and off (it is the only event
+    they don't share).
     """
 
     adopted: bool = True

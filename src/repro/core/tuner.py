@@ -105,8 +105,8 @@ class SpaceSamplingError(RuntimeError):
 class _PendingProposal:
     """A batch proposed speculatively, waiting to be consumed next iteration.
 
-    Carried across pipelined-loop iterations (and, via the checkpoint
-    ``pending`` payload, across resumes): the batch itself, the
+    Carried across loop iterations with speculation on (and, via the
+    checkpoint ``pending`` payload, across resumes): the batch itself, the
     proposal wall-time to report on its :class:`BatchProposed` event,
     whether the speculation found the space exhausted, and the
     observability notifications captured on the worker thread, to be
@@ -126,7 +126,7 @@ class _Speculation:
     ``predicted`` is validated against the real measurement results;
     on an exact match the clone's state, records, events, and next
     proposal are adopted wholesale, otherwise the whole object is
-    discarded and the driving thread replays the serial path.
+    discarded and the driving thread proposes from the real state.
     """
 
     predicted: List[MeasureResult]
@@ -565,24 +565,29 @@ TransferHistory`.  The injection happens once, inside the
         run.  ``_resume`` is internal (restored loop state from
         :meth:`resume`).
 
-        ``pipeline=True`` overlaps each batch's measurement with a
-        *speculative* proposal of the next batch on a worker thread,
-        validating the speculation against the real measurement results
-        before adopting it (see :meth:`_pipelined_loop`).  Records,
-        RNG streams, events and checkpoints stay bit-identical to the
-        serial loop; the only observable additions are
-        :class:`~repro.core.events.SpeculationResolved` events and the
-        overlap wall-time they report.
+        Every batch runs through one loop: propose, measure, absorb,
+        emit, run callbacks, early-stop, checkpoint.  ``pipeline=True``
+        switches speculation on: while batch *k* is measured on this
+        thread, a worker thread runs the post-measure sequence — absorb
+        the (predicted) results, refit, propose batch *k+1* — against a
+        *clone* of the tuner, predicting the measurement results via the
+        ordinal-determinism of :class:`~repro.hardware.measure.Measurer`
+        (``measure_at`` is pure in ``(ordinal, config_index)``).  When
+        the real results come back they are compared against the
+        prediction: an exact match adopts the clone's state and its
+        proposal; any mismatch (fault injection, cache hits, a foreign
+        executor) discards the speculation and the loop proposes from
+        the untouched real state.  Records, RNG streams, events and
+        checkpoints are bit-identical with speculation on or off; the
+        only additions are :class:`~repro.core.events.SpeculationResolved`
+        events, the overlap wall-time they report, and the ``pending``
+        payload speculative checkpoints carry.
         """
         if n_trial <= 0:
             raise ValueError("n_trial must be positive")
         start = time.perf_counter()
         policy = as_checkpoint_policy(checkpoint)
         resume_pending = _resume.get("pending") if _resume is not None else None
-        if resume_pending is not None:
-            # a pipelined checkpoint carries an already-proposed batch;
-            # only the pipelined loop knows how to consume it
-            pipeline = True
         if _resume is not None:
             records: List[TrialRecord] = list(_resume["records"])
             stopper = self._restore_stopper(
@@ -602,6 +607,8 @@ TransferHistory`.  The injection happens once, inside the
         self._event_sinks = tuple(on_event)
         self._pending_events.clear()
         batches_since_checkpoint = 0
+        current: Optional[_PendingProposal] = None
+        pool: Optional[ThreadPoolExecutor] = None
         for sink in self._event_sinks:
             begin = getattr(sink, "on_tune_begin", None)
             if callable(begin):
@@ -621,176 +628,34 @@ TransferHistory`.  The injection happens once, inside the
                     policy, records, stopper, n_trial, early_stopping,
                     initialized=False, callbacks=callbacks,
                 )
+            if resume_pending is not None:
+                # a speculative checkpoint carries an already-proposed
+                # batch; consuming it first needs speculation on
+                current = _PendingProposal(
+                    batch=[int(i) for i in resume_pending["batch"]],
+                    proposal_s=float(resume_pending["proposal_s"]),
+                    exhausted=bool(resume_pending["exhausted"]),
+                    captured=list(resume_pending["captured"]),
+                )
+                self._pending_events.extend(
+                    resume_pending.get("events") or ()
+                )
+                initialized = True
+                pipeline = True
             if pipeline:
-                self._pipelined_loop(
-                    n_trial=n_trial,
-                    records=records,
-                    stopper=stopper,
-                    policy=policy,
-                    callbacks=callbacks,
-                    executor=executor,
-                    early_stopping=early_stopping,
-                    initialized=initialized,
-                    resume_pending=resume_pending,
-                )
-                stop = True  # the loop owns its own stopping; skip serial
-            while not stop and len(records) < n_trial:
-                proposal_start = time.perf_counter()
-                if not initialized:
-                    batch = self._filter_unvisited(
-                        self._inject_warm_start(self._generate_initial())
-                    )
-                    initialized = True
-                    self._flush_policy_events()
-                    if not batch:
-                        break
-                else:
-                    batch = self._filter_unvisited(self._generate_next())
-                    self._flush_policy_events()
-                    if not batch:
-                        batch = self._random_unvisited(self.batch_size)
-                        if not batch:
-                            self._emit(SpaceExhausted(step=len(records)))
-                            logger.info(
-                                "%s: search space exhausted", self.name
-                            )
-                            break
-                batch = batch[: n_trial - len(records)]
-                self._emit(
-                    BatchProposed(
-                        step=len(records),
-                        config_indices=tuple(batch),
-                        proposal_s=time.perf_counter() - proposal_start,
+                # the speculation measurer is a clone synced to the
+                # executor's pre-batch ordinal each dispatch; prediction
+                # never advances the real measurement stream
+                spec_measurer: Measurer = pickle.loads(
+                    pickle.dumps(
+                        self.measurer, protocol=pickle.HIGHEST_PROTOCOL
                     )
                 )
-                measure_start = time.perf_counter()
-                results = executor.measure_batch(batch)
-                measure_s = time.perf_counter() - measure_start
-                new_records = self._absorb(results, records)
-                self._emit_fault_events(executor, step=len(records))
-                self._emit(
-                    BatchMeasured(
-                        step=len(records),
-                        results=tuple(results),
-                        measure_s=measure_s,
-                    )
+                pool = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix=f"{self.name}-speculate"
                 )
-                for callback in callbacks:
-                    callback(self, results)
-                for record in new_records:
-                    if stopper is not None and stopper.update(record.gflops):
-                        stop = True
-                        self._emit(
-                            EarlyStopped(
-                                step=record.step,
-                                patience=stopper.patience,
-                                best_gflops=self.best_gflops,
-                            )
-                        )
-                        break
-                batches_since_checkpoint += 1
-                if (
-                    policy is not None
-                    and not stop
-                    and len(records) < n_trial
-                    and batches_since_checkpoint >= policy.every
-                ):
-                    self._save_checkpoint(
-                        policy, records, stopper, n_trial, early_stopping,
-                        initialized=True, callbacks=callbacks,
-                    )
-                    batches_since_checkpoint = 0
-        finally:
-            # end-of-run notifications are best-effort: a broken sink or
-            # callback must not mask the result (or the real exception)
-            for sink in self._event_sinks:
-                end = getattr(sink, "on_tune_end", None)
-                if callable(end):
-                    try:
-                        end(self)
-                    except Exception:
-                        logger.exception(
-                            "%s: on_tune_end failed for %r", self.name, sink
-                        )
-            for callback in callbacks:
-                closer = getattr(callback, "close", None)
-                if callable(closer):
-                    try:
-                        closer()
-                    except Exception:
-                        logger.exception(
-                            "%s: close failed for %r", self.name, callback
-                        )
-            self._event_sinks = ()
-
-        wall = time.perf_counter() - start
-        return TuningResult(
-            task_name=self.task.name,
-            tuner_name=self.name,
-            records=records,
-            best_index=self.best_index,
-            best_gflops=self.best_gflops,
-            wall_time_s=wall,
-        )
-
-    # ------------------------------------------------------------------
-    # pipelined loop (pipeline=True)
-
-    def _pipelined_loop(
-        self,
-        *,
-        n_trial: int,
-        records: List[TrialRecord],
-        stopper: Optional[EarlyStopper],
-        policy: Optional[CheckpointPolicy],
-        callbacks: Sequence[Callback],
-        executor: MeasureExecutor,
-        early_stopping: Optional[int],
-        initialized: bool,
-        resume_pending: Optional[dict],
-    ) -> None:
-        """Overlap measurement of batch *k* with proposal of batch *k+1*.
-
-        While the executor measures batch *k* on this thread, a worker
-        thread runs the whole serial post-measure sequence — absorb the
-        (predicted) results, refit, propose batch *k+1* — against a
-        *clone* of the tuner, predicting the measurement results via the
-        ordinal-determinism of :class:`~repro.hardware.measure.Measurer`
-        (``measure_at`` is pure in ``(ordinal, config_index)``).  When
-        the real results come back they are compared against the
-        prediction: an exact match adopts the clone's state and queued
-        proposal; any mismatch (fault injection, cache hits, a foreign
-        executor) discards the speculation and replays the serial path
-        on the untouched real state.  Records, RNG streams, events, and
-        checkpoints are bit-identical to the serial loop either way —
-        the only additions are :class:`SpeculationResolved` events and
-        the ``pending`` payload pipelined checkpoints carry.
-        """
-        # the speculation measurer is a clone synced to the executor's
-        # pre-batch ordinal each dispatch; prediction never advances the
-        # real measurement stream
-        spec_measurer: Measurer = pickle.loads(
-            pickle.dumps(self.measurer, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        stop = False
-        batches_since_checkpoint = 0
-        current: Optional[_PendingProposal] = None
-        if resume_pending is not None:
-            current = _PendingProposal(
-                batch=[int(i) for i in resume_pending["batch"]],
-                proposal_s=float(resume_pending["proposal_s"]),
-                exhausted=bool(resume_pending["exhausted"]),
-                captured=list(resume_pending["captured"]),
-            )
-            self._pending_events.extend(resume_pending.get("events") or ())
-            initialized = True
-        pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"{self.name}-speculate"
-        )
-        try:
             while not stop and len(records) < n_trial:
                 if current is None:
-                    # no adopted proposal in hand: serial proposal path
                     proposal_start = time.perf_counter()
                     if not initialized:
                         batch = self._filter_unvisited(
@@ -801,35 +666,25 @@ TransferHistory`.  The injection happens once, inside the
                         if not batch:
                             break
                     else:
-                        batch = self._filter_unvisited(self._generate_next())
+                        batch = self._propose_next()
                         self._flush_policy_events()
-                        if not batch:
-                            batch = self._random_unvisited(self.batch_size)
-                            if not batch:
-                                self._emit(
-                                    SpaceExhausted(step=len(records))
-                                )
-                                logger.info(
-                                    "%s: search space exhausted", self.name
-                                )
-                                break
+                    exhausted = not batch
                     proposal_s = time.perf_counter() - proposal_start
                 else:
                     # consume the adopted speculation: its refit
-                    # notifications replay *now* because in the serial
-                    # loop they fire during generate_next(k+1) — after
-                    # iteration k's checkpoint, not before it
+                    # notifications replay *now* because without
+                    # speculation they fire while proposing batch k+1 —
+                    # after iteration k's checkpoint, not before it
                     hooks.replay_captured(current.captured)
                     self._flush_policy_events()
-                    if current.exhausted:
-                        self._emit(SpaceExhausted(step=len(records)))
-                        logger.info(
-                            "%s: search space exhausted", self.name
-                        )
-                        break
                     batch = current.batch
                     proposal_s = current.proposal_s
+                    exhausted = current.exhausted
                     current = None
+                if exhausted:
+                    self._emit(SpaceExhausted(step=len(records)))
+                    logger.info("%s: search space exhausted", self.name)
+                    break
                 batch = batch[: n_trial - len(records)]
                 self._emit(
                     BatchProposed(
@@ -841,10 +696,10 @@ TransferHistory`.  The injection happens once, inside the
                 # dispatch the speculative proposal of batch k+1 before
                 # measuring batch k; skip it when this batch already
                 # fills the budget.  The state snapshot is taken here,
-                # on the driving thread, so it is exactly the serial
+                # on the driving thread, so it is exactly the real
                 # state at this point of the loop.
                 future = None
-                if len(records) + len(batch) < n_trial:
+                if pool is not None and len(records) + len(batch) < n_trial:
                     state_bytes = pickle.dumps(
                         {
                             key: value
@@ -871,11 +726,10 @@ TransferHistory`.  The injection happens once, inside the
                         spec = future.result()
                     except Exception:
                         logger.exception(
-                            "%s: speculative proposal failed; replaying "
-                            "the serial path",
+                            "%s: speculative proposal failed; proposing "
+                            "from the real state",
                             self.name,
                         )
-                        spec = None
                 adopted = spec is not None and spec.predicted == results
                 if adopted:
                     new_records = spec.new_records
@@ -931,7 +785,50 @@ TransferHistory`.  The injection happens once, inside the
                     )
                     batches_since_checkpoint = 0
         finally:
-            pool.shutdown(wait=True)
+            if pool is not None:
+                pool.shutdown(wait=True)
+            # end-of-run notifications are best-effort: a broken sink or
+            # callback must not mask the result (or the real exception)
+            for sink in self._event_sinks:
+                end = getattr(sink, "on_tune_end", None)
+                if callable(end):
+                    try:
+                        end(self)
+                    except Exception:
+                        logger.exception(
+                            "%s: on_tune_end failed for %r", self.name, sink
+                        )
+            for callback in callbacks:
+                closer = getattr(callback, "close", None)
+                if callable(closer):
+                    try:
+                        closer()
+                    except Exception:
+                        logger.exception(
+                            "%s: close failed for %r", self.name, callback
+                        )
+            self._event_sinks = ()
+
+        wall = time.perf_counter() - start
+        return TuningResult(
+            task_name=self.task.name,
+            tuner_name=self.name,
+            records=records,
+            best_index=self.best_index,
+            best_gflops=self.best_gflops,
+            wall_time_s=wall,
+        )
+
+    def _propose_next(self) -> List[int]:
+        """Propose the next batch, never revisiting a measured config.
+
+        Drops already-measured proposals and falls back to random
+        unvisited configs when none remain; an empty list means the
+        space is exhausted.  Policy events stay queued for the caller.
+        """
+        return self._filter_unvisited(
+            self._generate_next()
+        ) or self._random_unvisited(self.batch_size)
 
     def _speculate(
         self,
@@ -972,12 +869,8 @@ TransferHistory`.  The injection happens once, inside the
 
             new_records = clone._absorb(predicted, records)
             proposal_start = time.perf_counter()
-            exhausted = False
-            next_batch = clone._filter_unvisited(clone._generate_next())
-            if not next_batch:
-                next_batch = clone._random_unvisited(clone.batch_size)
-                if not next_batch:
-                    exhausted = True
+            next_batch = clone._propose_next()
+            exhausted = not next_batch
             next_batch = next_batch[: n_trial - len(records)]
             proposal_s = time.perf_counter() - proposal_start
         finally:
@@ -999,7 +892,7 @@ TransferHistory`.  The injection happens once, inside the
     ) -> None:
         """Make a validated speculation's state the real tuner state.
 
-        The clone's non-ephemeral attributes *are* the serial
+        The clone's non-ephemeral attributes *are* the real
         post-absorb, post-propose state (its inputs were validated
         bit-identical), so they are adopted wholesale — including
         ``event_counts``, which already includes the absorb-time events.
@@ -1024,9 +917,9 @@ TransferHistory`.  The injection happens once, inside the
         """Checkpoint payload for an adopted-but-unconsumed proposal.
 
         ``events`` carries the clone's queued policy events: they are
-        ephemeral on the tuner (cleared by :meth:`tune`), so a resumed
-        pipelined run restores them from here before consuming the
-        pending batch.
+        ephemeral on the tuner (cleared by :meth:`tune`), so a run
+        resumed with speculation on restores them from here before
+        consuming the pending batch.
         """
         if current is None:
             return None
@@ -1064,10 +957,10 @@ TransferHistory`.  The injection happens once, inside the
         constructor arguments, so :meth:`resume` rebuilds them from the
         resuming tuner and validates identity via the task fingerprint.
 
-        ``pending`` (pipelined runs only) is the adopted-but-unconsumed
-        speculative proposal from :meth:`Tuner._pending_payload`;
-        resuming a checkpoint that carries one re-enters the pipelined
-        loop automatically.
+        ``pending`` (runs with speculation on only) is the
+        adopted-but-unconsumed speculative proposal from
+        :meth:`Tuner._pending_payload`; resuming a checkpoint that
+        carries one resumes with speculation on automatically.
         """
         state = {
             key: value
@@ -1087,8 +980,8 @@ TransferHistory`.  The injection happens once, inside the
             "sink_states": _observer_states(self._event_sinks),
         }
         if pending is not None:
-            # only pipelined checkpoints carry the key, so serial
-            # checkpoint payloads stay byte-for-byte what they were
+            # only speculative checkpoints carry the key, so payloads
+            # without speculation stay byte-for-byte what they were
             payload_dict["pending"] = pending
         payload = pickle.dumps(payload_dict, protocol=pickle.HIGHEST_PROTOCOL)
         return TuningCheckpoint(
@@ -1126,10 +1019,10 @@ TransferHistory`.  The injection happens once, inside the
         the full record log (restored prefix plus new measurements) and
         the same final incumbent as an uninterrupted run.
 
-        ``pipeline`` continues the run with the pipelined loop; it is
-        forced on when the checkpoint carries a pending speculative
-        proposal (a pipelined run's checkpoint), so fleet/CLI resume
-        paths need no extra plumbing to resume pipelined runs.
+        ``pipeline`` resumes with speculation on; it is forced on when
+        the checkpoint carries a pending speculative proposal (written
+        by a run with speculation on), so fleet/CLI resume paths need
+        no extra plumbing to resume ``pipeline=True`` runs.
         """
         if isinstance(source, TuningCheckpoint):
             ckpt = source

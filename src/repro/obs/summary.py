@@ -56,9 +56,10 @@ class RunSummary:
     pruned_candidates: int = 0
     #: finishing policy the run handed over to ("" = single-phase run)
     finish_phase: str = ""
-    #: speculative proposals resolved by the pipelined loop
+    #: speculative proposals resolved with speculation on
     speculations: int = 0
-    #: speculations discarded and replayed serially (mispredictions)
+    #: speculations discarded for a proposal from the real state
+    #: (mispredictions)
     speculation_replays: int = 0
     #: trees carried over by warm-started (incremental) refits
     refit_reused_trees: int = 0

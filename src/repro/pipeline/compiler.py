@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -37,7 +38,12 @@ from repro.core.events import TlogExactHit
 from repro.obs import RunObservation
 from repro.core.tuner import TuningResult
 from repro.fleet.devices import Fleet, FleetSpec
-from repro.fleet.scheduler import FleetRunResult, FleetScheduler, FleetTask
+from repro.fleet.scheduler import (
+    FleetError,
+    FleetRunResult,
+    FleetScheduler,
+    FleetTask,
+)
 from repro.hardware.device import GTX_1080_TI, GpuDevice
 from repro.hardware.executor import (
     ExecutorSpec,
@@ -110,7 +116,7 @@ class CompiledModel:
     kernels: List[KernelTiming]
     #: per-task tuning results (empty when built from a record store)
     tuning_results: Dict[int, TuningResult] = field(default_factory=dict)
-    #: scheduling report of a fleet-mode compile (None for serial runs)
+    #: scheduling report of a compile with ``fleet=`` (None without)
     fleet: Optional[FleetRunResult] = None
     #: per-task tuning-log outcome (``"hit"``/``"warm"``/``"cold"``),
     #: empty when the compile ran without a tuning log
@@ -180,9 +186,9 @@ class DeploymentCompiler:
         """The (deterministic) environment for one task.
 
         ``device`` selects the cost model the task is measured on; it
-        defaults to the compiler's device (the serial-tuning and
-        deployment target).  Fleet-mode compiles pass each task's home
-        device so a mixed pool really measures on distinct hardware.
+        defaults to the compiler's device (the deployment target).
+        Compiles pass each task's home device so a mixed pool really
+        measures on distinct hardware.
         """
         target = self.device if device is None else device
         return spec.to_simulated(device=target, seed=self.env_seed)
@@ -381,17 +387,16 @@ class DeploymentCompiler:
         obs_path: Optional[Path],
         observer,
         resume: bool,
-        pipeline: bool = False,
-        device: Optional[GpuDevice] = None,
+        pipeline: bool,
+        device: GpuDevice,
     ) -> TuningResult:
-        """Tune (or restore) one task — the unit both the serial loop
-        and the fleet workers execute.
+        """Tune (or restore) one task — the unit every fleet slot runs.
 
         Pure in its arguments: every seeded decision derives from the
         task spec and ``trial_seed``, so calls may run in any order, on
-        any worker thread, and still reproduce the serial stream.
-        ``device`` is the cost model the task is measured on (the home
-        device in fleet mode; ``None`` means the compiler's device).
+        any worker thread, and still reproduce the same stream.
+        ``device`` is the cost model the task is measured on: its home
+        device, which is the compiler's own device without ``fleet=``.
         """
         if resume and done_path is not None and done_path.exists():
             with done_path.open("rb") as fh:
@@ -456,8 +461,8 @@ class DeploymentCompiler:
     ) -> None:
         """Fold one finished task into the run-level outputs.
 
-        Called in task order for both serial and fleet compiles, so the
-        record store's line order is identical either way.
+        Called in task order whatever the pool size and steal schedule,
+        so the record store's line order is identical either way.
         """
         if record_store is not None:
             for record in result.records:
@@ -517,9 +522,39 @@ class DeploymentCompiler:
         (see ``docs/EXECUTION.md``).  ``faults``/``retry`` inject
         deterministic measurement faults with retry/backoff.
 
+        Every compile runs its tasks through one
+        :class:`~repro.fleet.FleetScheduler`.  ``fleet`` (a
+        :class:`~repro.fleet.Fleet`, spec string, or device-name
+        sequence) shards the per-task tuning runs across a simulated
+        device pool with ``fleet_jobs`` worker threads (one per device
+        by default).  Without ``fleet`` the pool is one slot holding the
+        compiler's device, drained inline on the caller's thread
+        (``fleet_jobs`` then sets the worker threads for that slot).
+        Each task is *measured on its home device's cost model*
+        (``seq % len(fleet)``), and its tuning-log signature carries
+        that same device class — the identity that produced the
+        records; work stealing only moves which worker thread executes
+        the tuning loop.  When every slot is the compiler's device
+        class and no slot overrides the fleet-level fault model,
+        per-task records, summaries, and the record store are
+        bit-identical to the one-slot compile for any pool size and
+        steal schedule; a mixed fleet is instead bit-identical to
+        per-home-device compiles (and invariant to pool size, steal
+        order, and kill/resume).  Finished tasks reach ``record_store``
+        and ``progress`` in task order, each as soon as it and every
+        earlier task have finished (from the worker thread that
+        finished the last of them).  The scheduling report is returned
+        as ``CompiledModel.fleet`` (``None`` without ``fleet``).  A
+        failed task raises :class:`~repro.fleet.FleetError` carrying
+        the partial results; without ``fleet`` the task's own exception
+        is raised instead.
+
         With ``checkpoint_dir`` set, each task writes a resumable
         checkpoint (``task-NNN.ckpt``) while tuning and a completed
-        result (``task-NNN.done``) afterwards; ``resume=True`` skips
+        result (``task-NNN.done``) afterwards — directly in the
+        directory without ``fleet``, under its home device's
+        subdirectory (``device-NN/task-NNN.ckpt``) with it; resume a
+        fleet compile with the same fleet spec.  ``resume=True`` skips
         completed tasks and continues interrupted ones so an
         interrupted compile reproduces the uninterrupted run exactly.
 
@@ -530,24 +565,6 @@ class DeploymentCompiler:
         on resume — including for already-completed tasks — so the
         run-level metrics/trace/summary exports of a resumed compile
         match an uninterrupted one (modulo wall-clock durations).
-
-        ``fleet`` (a :class:`~repro.fleet.Fleet`, spec string, or
-        device-name sequence) shards the per-task tuning runs across a
-        simulated device pool with ``fleet_jobs`` worker threads (one
-        per device by default).  Each task is *measured on its home
-        device's cost model* (``seq % len(fleet)``), so a mixed fleet
-        tunes each task for the hardware it is homed on; work stealing
-        moves execution, never measurement identity.  When every slot
-        is the compiler's device class and no slot overrides the
-        fleet-level fault model, per-task records, summaries, and the
-        record store are bit-identical to the serial run for any pool
-        size and steal schedule; a mixed fleet is instead bit-identical
-        to per-home-device serial compiles (and invariant to pool size,
-        steal order, and kill/resume).  Checkpoints land under a
-        per-device subdirectory (``device-NN/task-NNN.ckpt``), keyed by
-        each task's deterministic home device, so an interrupted fleet
-        run resumes with the same fleet spec.  The scheduling report is
-        returned as ``CompiledModel.fleet``.
 
         ``tlog`` (a :class:`~repro.tlog.TuningLogDB` or its directory)
         consults the cross-run tuning log before every task: an exact
@@ -561,242 +578,118 @@ class DeploymentCompiler:
         task's own device class), or ``"cross"`` (only *other* device
         classes — the transfer scenario of ``experiment crossdevice``).
         Finished tasks contribute back to the database after the run
-        (idempotently — resuming never double-appends); fleet mode keys
-        records by each task's home device class, which is also the
-        class that measured them.  Per-task outcomes land in
+        (idempotently — resuming never double-appends), keyed by each
+        task's home device class.  Per-task outcomes land in
         ``CompiledModel.tlog_status``.  All of it is off by default:
         ``tlog=None`` compiles are bit-identical to builds without
         tuning-log support.
 
-        ``pipeline=True`` runs each task's tuning loop in pipelined
-        mode (measurement overlapped with speculative proposal, see
+        ``pipeline=True`` tunes each task with speculation on
+        (measurement overlapped with speculative proposal, see
         :meth:`repro.core.Tuner.tune`); records and summaries stay
-        bit-identical to the serial loop.
+        bit-identical.
         """
         kwargs = dict(tuner_kwargs or {})
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         if ckpt_dir is not None:
             ckpt_dir.mkdir(parents=True, exist_ok=True)
         tlog_db = self._open_tlog(tlog)
-        if fleet is not None:
-            return self._tune_fleet(
-                tuner_name,
-                fleet=fleet,
-                fleet_jobs=fleet_jobs,
-                n_trial=n_trial,
-                early_stopping=early_stopping,
-                trial_seed=trial_seed,
-                kwargs=kwargs,
-                record_store=record_store,
-                progress=progress,
-                executor=executor,
-                jobs=jobs,
-                measure_cache=measure_cache,
-                faults=faults,
-                retry=retry,
-                ckpt_dir=ckpt_dir,
-                resume=resume,
-                observation=observation,
-                tlog_db=tlog_db,
-                warm_start=warm_start,
-                warm_k=warm_k,
-                serve_hits=serve_hits,
-                warm_device=warm_device,
-                pipeline=pipeline,
-            )
-        executor_spec = self._executor_spec(
-            executor, jobs=jobs, measure_cache=measure_cache,
-            faults=faults, retry=retry,
-        )
-
-        run_key = (
-            self._tlog_run_key(tuner_name, trial_seed, n_trial)
-            if tlog_db is not None else ""
-        )
-        results: Dict[int, TuningResult] = {}
-        best_configs: Dict[int, Optional[int]] = {}
-        tlog_status: Dict[int, str] = {}
-        contributions: List[Tuple[TaskSignature, TaskSpec, TuningResult]] = []
-        for spec in self.tasks:
-            task_key = self._task_key(spec)
-            done_path, ckpt_path, obs_path = self._task_paths(
-                ckpt_dir, task_key
-            )
-            observer = (
-                observation.observer(task_key)
-                if observation is not None else None
-            )
-            served: Optional[TuningResult] = None
-            task_kwargs = kwargs
-            collect_name = tuner_name
-            if tlog_db is not None:
-                served, plan, sig, status = self._serve_or_plan(
-                    tlog_db, spec, self.device, serve_hits,
-                    warm_start, warm_k, observer,
-                    warm_device=warm_device,
-                )
-                tlog_status[spec.task_id] = status
-                if plan is not None:
-                    task_kwargs = dict(kwargs, warm_start=plan)
-            if served is not None:
-                result = served
-                collect_name = "tlog"
-            else:
-                result = self._tune_one(
-                    spec, tuner_name, n_trial, early_stopping, trial_seed,
-                    task_kwargs, executor_spec, done_path, ckpt_path,
-                    obs_path, observer, resume, pipeline=pipeline,
-                )
-                if tlog_db is not None:
-                    contributions.append((sig, spec, result))
-            results[spec.task_id] = result
-            best_configs[spec.task_id] = result.best_index
-            self._collect(spec, result, collect_name, record_store, progress)
-        # contributions are deferred to the end of the run (in task
-        # order) so serial and fleet compiles observe the same database
-        # state while tuning — lookups never see same-run records
-        for sig, spec, result in contributions:
-            self._contribute(tlog_db, sig, spec, result, run_key)
-        compiled = self._compile(best_configs)
-        compiled.tuning_results = results
-        compiled.tlog_status = tlog_status
-        return compiled
-
-    def _tune_fleet(
-        self,
-        tuner_name: str,
-        fleet: FleetSpec,
-        fleet_jobs: Optional[int],
-        n_trial: int,
-        early_stopping: Optional[int],
-        trial_seed: int,
-        kwargs: dict,
-        record_store: Optional[RecordStore],
-        progress: Optional[Callable[[TaskSpec, TuningResult], None]],
-        executor: ExecutorSpec,
-        jobs: Optional[int],
-        measure_cache: Optional[MeasureCache],
-        faults: Optional[FaultModel],
-        retry: Optional[RetryPolicy],
-        ckpt_dir: Optional[Path],
-        resume: bool,
-        observation: Optional[RunObservation],
-        tlog_db: Optional[TuningLogDB] = None,
-        warm_start: bool = False,
-        warm_k: int = 16,
-        serve_hits: bool = True,
-        warm_device: str = "any",
-        pipeline: bool = False,
-    ) -> CompiledModel:
-        """Fleet-mode compile: shard tasks over a simulated device pool.
-
-        Every task is measured on its *home* device's cost model, and
-        its tuning-log signature carries that same device class — the
-        identity that produced the records.  Work stealing only moves
-        which worker thread executes the tuning loop.
-
-        A :class:`~repro.fleet.FleetError` mid-run leaves per-task
-        ``.done``/``.ckpt`` files behind; re-running with
-        ``resume=True`` and the same fleet spec completes the survivors
-        bit-identically to an uninterrupted run.
-        """
-        pool = Fleet.from_spec(fleet)
+        pool = Fleet.from_spec([self.device] if fleet is None else fleet)
         by_key = {self._task_key(spec): spec for spec in self.tasks}
         # pre-create observers on the caller's thread: workers only
         # ever *use* their own task's observer
-        if observation is not None:
-            for key in by_key:
-                observation.observer(key)
+        observers = {
+            key: None if observation is None else observation.observer(key)
+            for key in by_key
+        }
 
         # consult the tuning log up front on the caller thread, in task
         # order and keyed by each task's home device class, so workers
         # never touch the database concurrently and lookups match what
         # a later resume of the same run would see
-        served_by_key: Dict[str, TuningResult] = {}
-        plan_by_key: Dict[str, object] = {}
-        sig_by_key: Dict[str, TaskSignature] = {}
+        consulted: Dict[str, tuple] = {}
         tlog_status: Dict[int, str] = {}
         if tlog_db is not None:
-            for i, spec in enumerate(self.tasks):
-                key = self._task_key(spec)
-                home = pool.home_of(i)
-                observer = (
-                    observation.observer(key)
-                    if observation is not None else None
-                )
+            for i, (key, spec) in enumerate(by_key.items()):
                 served, plan, sig, status = self._serve_or_plan(
-                    tlog_db, spec, home.device, serve_hits,
-                    warm_start, warm_k, observer,
+                    tlog_db, spec, pool.home_of(i).device, serve_hits,
+                    warm_start, warm_k, observers[key],
                     warm_device=warm_device,
                 )
+                consulted[key] = (served, plan, sig)
                 tlog_status[spec.task_id] = status
-                sig_by_key[key] = sig
-                if served is not None:
-                    served_by_key[key] = served
-                elif plan is not None:
-                    plan_by_key[key] = plan
+
+        lock = threading.Lock()
+        finished: Dict[int, Tuple[TuningResult, str]] = {}
+        collected = 0
 
         def run_task(ftask: FleetTask, _executing_device) -> TuningResult:
-            served = served_by_key.get(ftask.key)
-            if served is not None:
-                return served
-            spec = by_key[ftask.key]
-            home = pool.home_of(ftask.seq)
-            executor_spec = self._executor_spec(
-                executor, jobs=jobs, measure_cache=measure_cache,
-                faults=home.fault_model(faults), retry=retry,
-            )
-            done_path, ckpt_path, obs_path = self._task_paths(
-                ckpt_dir, ftask.key, subdir=home.dirname
-            )
-            observer = (
-                observation.observer(ftask.key)
-                if observation is not None else None
-            )
-            plan = plan_by_key.get(ftask.key)
-            task_kwargs = (
-                dict(kwargs, warm_start=plan) if plan is not None else kwargs
-            )
-            return self._tune_one(
-                spec, tuner_name, n_trial, early_stopping, trial_seed,
-                task_kwargs, executor_spec, done_path, ckpt_path, obs_path,
-                observer, resume, pipeline=pipeline, device=home.device,
-            )
+            nonlocal collected
+            served, plan, _ = consulted.get(ftask.key, (None, None, None))
+            result, name = served, "tlog"
+            if served is None:
+                home = pool.home_of(ftask.seq)
+                done_path, ckpt_path, obs_path = self._task_paths(
+                    ckpt_dir, ftask.key,
+                    subdir=None if fleet is None else home.dirname,
+                )
+                result = self._tune_one(
+                    by_key[ftask.key], tuner_name, n_trial, early_stopping,
+                    trial_seed,
+                    kwargs if plan is None else dict(kwargs, warm_start=plan),
+                    self._executor_spec(
+                        executor, jobs=jobs, measure_cache=measure_cache,
+                        faults=home.fault_model(faults), retry=retry,
+                    ),
+                    done_path, ckpt_path, obs_path, observers[ftask.key],
+                    resume, pipeline, home.device,
+                )
+                name = tuner_name
+            # hand tasks on in task order, each as soon as it and every
+            # earlier task have finished
+            with lock:
+                finished[ftask.seq] = (result, name)
+                while collected in finished:
+                    self._collect(
+                        self.tasks[collected], *finished[collected],
+                        record_store, progress,
+                    )
+                    collected += 1
+            return result
 
         scheduler = FleetScheduler(pool, run_task, jobs=fleet_jobs)
-        fleet_result = scheduler.run(
-            [
-                FleetTask(key=self._task_key(spec), seq=i)
-                for i, spec in enumerate(self.tasks)
-            ]
-        )
-        results: Dict[int, TuningResult] = {}
-        best_configs: Dict[int, Optional[int]] = {}
-        for spec in self.tasks:
-            key = self._task_key(spec)
-            result = fleet_result.results[key]
-            results[spec.task_id] = result
-            best_configs[spec.task_id] = result.best_index
-            collect_name = "tlog" if key in served_by_key else tuner_name
-            self._collect(spec, result, collect_name, record_store, progress)
+        try:
+            fleet_result = scheduler.run(
+                [FleetTask(key=key, seq=i) for i, key in enumerate(by_key)]
+            )
+        except FleetError as exc:
+            if fleet is not None:
+                raise
+            # a compile without a fleet fails with its task's exception
+            raise exc.failures[min(exc.failures)] from None
+        # contributions are deferred to the end of the run (in task
+        # order) so lookups never see same-run records
         if tlog_db is not None:
             run_key = self._tlog_run_key(tuner_name, trial_seed, n_trial)
-            for spec in self.tasks:
-                key = self._task_key(spec)
-                if key in served_by_key:
-                    continue
-                self._contribute(
-                    tlog_db, sig_by_key[key], spec,
-                    fleet_result.results[key], run_key,
-                )
+            for key, (served, _, sig) in consulted.items():
+                if served is None:
+                    self._contribute(
+                        tlog_db, sig, by_key[key],
+                        fleet_result.results[key], run_key,
+                    )
         for report in fleet_result.reports:
             report.measurements = sum(
                 fleet_result.results[key].num_measurements
                 for key in report.homed
             )
-        compiled = self._compile(best_configs)
+        results = {
+            spec.task_id: finished[i][0] for i, spec in enumerate(self.tasks)
+        }
+        compiled = self._compile(
+            {task_id: r.best_index for task_id, r in results.items()}
+        )
         compiled.tuning_results = results
-        compiled.fleet = fleet_result
+        compiled.fleet = fleet_result if fleet is not None else None
         compiled.tlog_status = tlog_status
         return compiled
 

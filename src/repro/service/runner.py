@@ -23,11 +23,15 @@ top:
   :class:`~repro.obs.TuningObserver` subclasses) and buffers
   cursor-addressable best-curve points plus per-task
   :class:`~repro.obs.RunSummary` snapshots for the polling endpoint.
+  Per-task rows and ``task_done`` points arrive as tasks finish, in
+  task order (each once it and every earlier task have finished), not
+  when the job ends.
 
-Results are durable the moment a job finishes: per-task records and
-summaries land in the store's ``tasks``/``records`` tables (idempotent
-upserts, so resume re-collection is safe), the fleet scheduling
-report is attached to the job row, and — when the service runs with a
+Results are durable as they arrive: per-task records and summaries
+land in the store's ``tasks``/``records`` tables as each task is
+handed on (idempotent upserts, so resume re-collection is safe), the
+fleet scheduling report is attached to the job row when the job
+finishes, and — when the service runs with a
 tuning log — finished tasks contribute to the shared
 :class:`~repro.tlog.TuningLogDB` so later jobs with the same task
 signatures are served at zero measurement cost.
@@ -202,10 +206,22 @@ class JobRunner:
             self._thread = None
 
     def run_forever(self) -> None:
-        """Recover interrupted jobs, then drain the queue until stopped."""
+        """Recover interrupted jobs, then drain the queue until stopped.
+
+        A failed claim (for example sqlite's ``database is locked``) is
+        logged and retried after ``poll_interval_s``; it never ends the
+        loop, so admitted jobs still run once the store recovers.
+        """
         self.recover()
         while not self._stop.is_set():
-            job = self.queue.claim_next()
+            try:
+                job = self.queue.claim_next()
+            except Exception:  # noqa: BLE001 - the runner must outlive it
+                logger.exception(
+                    "claiming the next job failed; retrying in %.2fs",
+                    self.poll_interval_s,
+                )
+                job = None
             if job is None:
                 self._stop.wait(self.poll_interval_s)
                 continue

@@ -1,9 +1,14 @@
 """Tests for repro.pipeline.compiler: deployment and latency evaluation."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
+from repro.fleet import FleetError
 from repro.nn.graph import GraphBuilder
+from repro.obs import RunObservation
 from repro.pipeline.compiler import CompiledModel, DeploymentCompiler, KernelTiming
 from repro.pipeline.records import RecordStore
 
@@ -16,6 +21,21 @@ def tiny_model():
     b.pool2d("p1")
     b.conv2d("c2", 16, padding=(1, 1))
     b.relu("r2")
+    b.flatten("f")
+    b.dense("fc", 10)
+    return b.graph
+
+
+def three_task_model():
+    b = GraphBuilder("three-task-model")
+    b.input((1, 3, 16, 16))
+    b.conv2d("c1", 8, padding=(1, 1))
+    b.relu("r1")
+    b.conv2d("c2", 12, padding=(1, 1))
+    b.relu("r2")
+    b.pool2d("p1")
+    b.conv2d("c3", 16, padding=(1, 1))
+    b.relu("r3")
     b.flatten("f")
     b.dense("fc", 10)
     return b.graph
@@ -82,6 +102,146 @@ class TestDeploymentCompiler:
             progress=lambda spec, result: calls.append(spec.task_id),
         )
         assert calls == [0, 1]
+
+
+BTED_KWARGS = {"batch_size": 8, "init_size": 8, "batch_candidates": 16}
+
+
+def _lines(store):
+    return [record.to_json() for record in store]
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestCompileContracts:
+    """What a compile promises about checkpoints, failures and hand-off.
+
+    A compile without ``fleet=`` runs as a one-slot fleet drained on
+    the caller's thread; these pin what it keeps from a plain loop
+    over tasks, and the in-order hand-off every compile shares.
+    """
+
+    @pytest.fixture
+    def three(self):
+        compiler = DeploymentCompiler(three_task_model(), env_seed=5)
+        assert len(compiler.tasks) == 3
+        return compiler
+
+    def _tune(self, compiler, **kwargs):
+        return compiler.tune(
+            "bted", n_trial=16, early_stopping=None, trial_seed=2,
+            tuner_kwargs=dict(BTED_KWARGS), **kwargs,
+        )
+
+    def test_checkpoints_sit_directly_in_the_directory(self, three, tmp_path):
+        self._tune(three, checkpoint_dir=tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [
+            f"task-{i:03d}.{ext}" for i in range(3) for ext in ("ckpt", "done")
+        ]
+
+    def test_progress_failure_resumes_to_the_uninterrupted_store(
+        self, three, tmp_path
+    ):
+        uninterrupted = RecordStore()
+        self._tune(three, record_store=uninterrupted)
+
+        def stop_at_task_1(spec, result):
+            if spec.task_id == 1:
+                raise _Stop()
+
+        with pytest.raises(_Stop):
+            self._tune(
+                three, record_store=RecordStore(), progress=stop_at_task_1,
+                checkpoint_dir=tmp_path,
+            )
+        resumed = RecordStore()
+        self._tune(
+            three, record_store=resumed, checkpoint_dir=tmp_path, resume=True
+        )
+        assert _lines(resumed) == _lines(uninterrupted)
+
+    def test_task_failure_raises_its_own_exception(self, three):
+        with pytest.raises(ValueError, match="mu") as excinfo:
+            three.tune(
+                "bted", n_trial=16, early_stopping=None,
+                tuner_kwargs=dict(BTED_KWARGS, mu=0.0),
+            )
+        assert not isinstance(excinfo.value, FleetError)
+
+    def test_progress_fires_before_the_next_task_measures(self, three):
+        observation = RunObservation(enable_metrics=False, enable_trace=False)
+        measured_next = []
+
+        def progress(spec, result):
+            if spec.task_id + 1 < 3:
+                nxt = observation.observer(f"task-{spec.task_id + 1:03d}")
+                measured_next.append(nxt.summary().num_measurements)
+
+        self._tune(three, observation=observation, progress=progress)
+        assert measured_next == [0, 0]
+
+    def test_compiled_fleet_is_none(self, three):
+        assert self._tune(three).fleet is None
+
+    def test_fleet_hands_tasks_on_in_order_as_they_finish(self, three):
+        serial = RecordStore()
+        self._tune(three, record_store=serial)
+        # one worker homed on device 0 runs task 0, then task 2, then
+        # steals task 1 from device 1
+        observation = RunObservation(enable_metrics=False, enable_trace=False)
+        order, measured_later = [], []
+
+        def progress(spec, result):
+            order.append(spec.task_id)
+            if spec.task_id == 0:
+                measured_later.extend(
+                    observation.observer(f"task-{i:03d}")
+                    .summary().num_measurements
+                    for i in (1, 2)
+                )
+
+        store = RecordStore()
+        compiled = self._tune(
+            three, record_store=store, observation=observation,
+            progress=progress, fleet="gtx1080ti,gtx1080ti", fleet_jobs=1,
+        )
+        assert [s.key for s in compiled.fleet.steals] == ["task-001"]
+        assert measured_later == [0, 0]
+        assert order == [0, 1, 2]
+        assert _lines(store) == _lines(serial)
+
+    def test_hand_off_order_survives_thread_pressure(self, three):
+        """Three workers on a two-core host, switching threads often.
+
+        A slow ``progress`` keeps one worker inside the hand-off while
+        the others finish, so an unguarded hand-off repeats a task.
+        """
+        serial = RecordStore()
+        three.tune(
+            "random", n_trial=8, early_stopping=None, record_store=serial
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                order, store = [], RecordStore()
+
+                def slow_progress(spec, result):
+                    order.append(spec.task_id)
+                    time.sleep(0.02)
+
+                three.tune(
+                    "random", n_trial=8, early_stopping=None,
+                    record_store=store, progress=slow_progress,
+                    fleet="gtx1080ti,gtx1080ti,gtx1080ti",
+                )
+                assert order == [0, 1, 2]
+                assert _lines(store) == _lines(serial)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLatencyMeasurement:

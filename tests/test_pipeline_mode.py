@@ -10,10 +10,12 @@ SIGKILL-style crash at *any* checkpointed batch, and composed with
 ``refit="incremental"``.
 """
 
+import pickle
+
 import pytest
 
 from repro.core import INCREMENTAL_REFIT_ARMS, TUNER_REGISTRY, make_tuner
-from repro.core.checkpoint import CheckpointPolicy
+from repro.core.checkpoint import CheckpointPolicy, TuningCheckpoint
 from repro.core.events import (
     BatchMeasured,
     CheckpointSaved,
@@ -72,6 +74,14 @@ def _kinds(log):
     ]
 
 
+def _kind_steps(log):
+    """``(kind, step)`` per event, the pipelined-only marker filtered out."""
+    return [
+        (e.kind, e.step) for e in log.events
+        if e.kind != "speculation_resolved"
+    ]
+
+
 def _run(arm, *, pipeline, refit=None, n_trial=N_TRIAL):
     kwargs = dict(ARM_KWARGS[arm])
     if refit is not None:
@@ -94,6 +104,7 @@ class TestPipelinedEqualsSerial:
         assert piped.best_index == serial.best_index
         assert piped.best_gflops == serial.best_gflops
         assert _kinds(plog) == _kinds(slog)
+        assert _kind_steps(plog) == _kind_steps(slog)
 
     def test_speculations_happen_and_are_adopted(self):
         _, plog = _run("bted+bao", pipeline=True)
@@ -108,6 +119,43 @@ class TestPipelinedEqualsSerial:
         piped, _ = _run(arm, pipeline=True, refit="incremental")
         assert _trace(piped) == _trace(serial)
         assert piped.best_index == serial.best_index
+
+
+def _checkpoint_payloads(arm, path, *, pipeline):
+    """``(step, payload)`` of every checkpoint one run writes."""
+    payloads = []
+
+    def grab(tuner_, event):
+        if isinstance(event, CheckpointSaved):
+            ckpt = TuningCheckpoint.load(event.path)
+            payloads.append((event.step, pickle.loads(ckpt.payload)))
+
+    tuner = make_tuner(arm, TASK, seed=5, **ARM_KWARGS[arm])
+    tuner.tune(
+        n_trial=N_TRIAL, early_stopping=None,
+        checkpoint=CheckpointPolicy(path=path, every=1),
+        on_event=[grab], pipeline=pipeline,
+    )
+    return payloads
+
+
+class TestCheckpointPayload:
+    """Only speculative checkpoints carry the ``pending`` proposal."""
+
+    @pytest.mark.parametrize("arm", sorted(ARM_KWARGS))
+    def test_pending_key_marks_speculative_checkpoints(self, arm, tmp_path):
+        serial = _checkpoint_payloads(
+            arm, tmp_path / "serial.ckpt", pipeline=False
+        )
+        assert len(serial) >= 2
+        assert not any("pending" in payload for _, payload in serial)
+        piped = _checkpoint_payloads(
+            arm, tmp_path / "piped.ckpt", pipeline=True
+        )
+        assert [step for step, _ in piped] == [step for step, _ in serial]
+        assert all(
+            "pending" in payload for step, payload in piped if step > 0
+        )
 
 
 class _Crash(Exception):

@@ -12,6 +12,8 @@ repeat submit.
 """
 
 import json
+import sqlite3
+import threading
 import urllib.request
 
 import pytest
@@ -267,6 +269,27 @@ class TestStructuredErrors:
         done = client.wait(job["job_id"], timeout_s=60.0)
         assert done["state"] == "failed"
         assert "mu must be positive" in done["error"]
+
+
+class TestRunnerSupervision:
+    def test_failed_claim_does_not_stop_the_runner(self, tmp_path):
+        svc = TuningService(tmp_path / "flaky", port=0, devices=DEVICES)
+        claim_next = svc.queue.claim_next
+        failed = threading.Event()
+
+        def flaky_claim():
+            if not failed.is_set():
+                failed.set()
+                raise sqlite3.OperationalError("database is locked")
+            return claim_next()
+
+        svc.queue.claim_next = flaky_claim
+        with svc:
+            assert failed.wait(timeout=10.0)
+            client = ServiceClient(svc.url, timeout_s=10.0)
+            job = client.submit(**SPEC)
+            done = client.wait(job["job_id"], timeout_s=60.0)
+        assert done["state"] == "done"
 
 
 class TestAdmissionOverHTTP:
