@@ -4,9 +4,10 @@
 Times the tuning loop's Python-side hot paths — tree prediction, TED /
 BTED selection, bootstrap-ensemble fit/predict, and a full BTED+BAO
 tuning step — against the preserved pre-optimization reference
-implementations (``RegressionTree.predict_reference`` and the in-place
-TED loop in ``tests/ted_oracle.py``), and writes the numbers to a JSON
-artifact (``BENCH_hotpaths.json`` at the repo root by default).
+implementations (the per-node tree walk in ``tests/tree_oracle.py``
+and the in-place TED loop in ``tests/ted_oracle.py``), and writes the
+numbers to a JSON artifact (``BENCH_hotpaths.json`` at the repo root
+by default).
 
 Three gates are built in:
 
@@ -47,10 +48,10 @@ from repro.nn.workloads import Conv2DWorkload
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_hotpaths.json")
 
-# the reference TED loop lives with the tests, at the repo root
+# the reference tree walk and TED loop live with the tests, at the repo root
 if REPO_ROOT not in sys.path:
     sys.path.insert(0, REPO_ROOT)
-from tests import ted_oracle  # noqa: E402
+from tests import ted_oracle, tree_oracle  # noqa: E402
 
 
 def _best_of(fn, repeats):
@@ -83,7 +84,7 @@ def bench_tree_predict(repeats, scale):
     tree = RegressionTree(max_depth=8, min_samples_leaf=2, seed=0).fit(X, y)
 
     fast_s, fast = _best_of(lambda: tree.predict(X_test), repeats)
-    ref_s, ref = _best_of(lambda: tree.predict_reference(X_test), repeats)
+    ref_s, ref = _best_of(lambda: tree_oracle.predict(tree, X_test), repeats)
     assert np.array_equal(fast, ref), "vectorized predict diverged"
     return {
         "wall_s": fast_s,
@@ -162,15 +163,7 @@ def bench_ensemble(repeats, scale):
     ensemble = BootstrapEnsemble(gamma=2, seed=5)
     fit_s, _ = _best_of(lambda: ensemble.fit(X, y), repeats)
     predict_s, _ = _best_of(lambda: ensemble.predict_sum(C), repeats)
-
-    shared = BootstrapEnsemble(gamma=2, seed=5, share_bin_edges=True)
-    shared_fit_s, _ = _best_of(lambda: shared.fit(X, y), repeats)
-    return {
-        "wall_s": fit_s + predict_s,
-        "fit_s": fit_s,
-        "predict_s": predict_s,
-        "shared_bin_edges_fit_s": shared_fit_s,
-    }
+    return {"wall_s": fit_s + predict_s, "fit_s": fit_s, "predict_s": predict_s}
 
 
 def bench_arm(arm, repeats, scale):

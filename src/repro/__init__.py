@@ -43,7 +43,6 @@ from repro.hardware import (
     GpuDevice,
     MeasureCache,
     Measurer,
-    ParallelExecutor,
     SerialExecutor,
     SimulatedTask,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "GpuDevice",
     "MeasureCache",
     "Measurer",
-    "ParallelExecutor",
     "SerialExecutor",
     "SimulatedTask",
     "PAPER_MODELS",

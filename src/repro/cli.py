@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from repro.core import INCREMENTAL_REFIT_ARMS, TUNER_REGISTRY
 from repro.experiments.settings import ExperimentSettings
-from repro.hardware.executor import EXECUTOR_KINDS, MeasureCache
+from repro.hardware.executor import MeasureCache
 from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.nn.zoo import MODEL_BUILDERS, PAPER_MODELS, build_model
 from repro.pipeline.compiler import DeploymentCompiler
@@ -116,8 +116,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         tuner_kwargs=tuner_kwargs,
         record_store=store,
         progress=progress,
-        executor=args.executor,
-        jobs=args.jobs,
         measure_cache=cache,
         faults=faults,
         retry=retry,
@@ -633,12 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--winograd", action="store_true",
                         help="also tune Winograd templates for eligible "
                              "convs and deploy the faster one per kernel")
-    p_tune.add_argument("--executor", default="serial",
-                        choices=list(EXECUTOR_KINDS),
-                        help="measurement backend (results are identical)")
-    p_tune.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for --executor parallel "
-                             "(default: all cores)")
     p_tune.add_argument("--measure-cache", default=None,
                         help="memoize measurements in this pickle file")
     p_tune.add_argument("--checkpoint-dir", default=None,

@@ -15,7 +15,6 @@ more robust acquisition score.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,20 +53,6 @@ def _default_model_factory(rng: np.random.Generator) -> ModelFactory:
     return _DefaultModelFactory(rng)
 
 
-def _fit_member(
-    payload: Tuple[
-        GradientBoostedTrees, int, np.ndarray, np.ndarray, Optional[list]
-    ],
-) -> GradientBoostedTrees:
-    """Worker-side fit of one ensemble member (parallel ``fit_jobs`` path)."""
-    model, seed, X, y, edges = payload
-    model.reseed(seed)
-    if edges is not None and getattr(model, "method", None) == "hist":
-        model.bin_edges = edges
-    model.fit(X, y)
-    return model
-
-
 class BootstrapEnsemble:
     """``Gamma`` evaluation functions fit on bootstrap resamples.
 
@@ -75,30 +60,24 @@ class BootstrapEnsemble:
     functions" (Sec. IV); pass any ``model_factory`` returning an object
     with ``fit(X, y)`` and ``predict(X)`` to swap the learner.
 
-    Two opt-in hot-path accelerations (both default off because they
-    perturb either the arithmetic or the RNG stream relative to the
-    historical — golden-trace-pinned — behaviour):
+    ``refit`` selects how :meth:`fit` treats a fitted ensemble:
 
-    * ``share_bin_edges`` — quantile-bin the *full* measured matrix once
-      per :meth:`fit` and hand the edges to every histogram-tree member,
-      instead of each member re-deriving quantiles from its resample.
-    * ``fit_jobs`` — fan the Gamma member fits out over a process pool
-      (the PR-1 executor-pool pattern).  Resample rows and per-member
-      seeds are drawn serially first, so the parallel fit is
-      deterministic in itself, but its RNG consumption differs from the
-      serial interleaving.
-    * ``refit="incremental"`` — warm-started refits: after the first
-      full fit, each subsequent :meth:`fit` draws a fresh bootstrap
-      resample per member and grows only ``incremental_rounds`` new
-      boosting rounds on it (:meth:`GradientBoostedTrees.fit_more`),
-      keeping previously-grown trees and the bin edges frozen at the
-      first fit.  Once a member would exceed ``max_trees``, the whole
-      ensemble is refit from scratch (a generational refresh that
-      re-derives bin edges and bounds both predict cost and staleness).
-      ``reuse_trees=False`` disables the warm path entirely, making the
-      mode bit-identical to ``refit="full"``.  With ``reuse_trees=True``
-      bin-edge sharing is forced on so all members bin a candidate
-      matrix once per prediction pass.
+    * ``"full"`` (the default, pinned by the golden traces) — every fit
+      draws Gamma fresh resamples and fits each member from scratch;
+      each histogram-tree member derives its bin edges from its own
+      resample.
+    * ``"incremental"`` — warm-started refits: after the first full
+      fit, each subsequent :meth:`fit` draws a fresh bootstrap resample
+      per member and grows only ``incremental_rounds`` new boosting
+      rounds on it (:meth:`GradientBoostedTrees.fit_more`), keeping
+      previously-grown trees and the bin edges frozen at the first fit.
+      Once a member would exceed ``max_trees``, the whole ensemble is
+      refit from scratch (a generational refresh that re-derives bin
+      edges and bounds both predict cost and staleness).  The members
+      share one set of bin edges (:attr:`share_bin_edges`), so a
+      prediction pass bins the candidate matrix once for all of them.
+      ``reuse_trees=False`` disables the warm path and the sharing,
+      making the mode bit-identical to ``refit="full"``.
     """
 
     def __init__(
@@ -106,8 +85,6 @@ class BootstrapEnsemble:
         gamma: int = 2,
         model_factory: Optional[ModelFactory] = None,
         seed: SeedLike = None,
-        share_bin_edges: bool = False,
-        fit_jobs: Optional[int] = None,
         refit: str = "full",
         incremental_rounds: int = 8,
         max_trees: int = 96,
@@ -115,29 +92,17 @@ class BootstrapEnsemble:
     ):
         if gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if fit_jobs is not None and fit_jobs < 1:
-            raise ValueError("fit_jobs must be >= 1")
         if refit not in ("full", "incremental"):
             raise ValueError("refit must be 'full' or 'incremental'")
         if incremental_rounds < 1:
             raise ValueError("incremental_rounds must be >= 1")
         if max_trees < 1:
             raise ValueError("max_trees must be >= 1")
-        if refit == "incremental" and fit_jobs is not None and fit_jobs > 1:
-            raise ValueError(
-                "refit='incremental' is not supported with parallel fit_jobs"
-            )
         self.gamma = gamma
-        self.share_bin_edges = share_bin_edges
-        self.fit_jobs = fit_jobs
         self.refit = refit
         self.incremental_rounds = incremental_rounds
         self.max_trees = max_trees
         self.reuse_trees = reuse_trees
-        if refit == "incremental" and reuse_trees:
-            # frozen shared edges keep cross-batch tree reuse coherent and
-            # let predict_stats bin the candidate scope once for all members
-            self.share_bin_edges = True
         self._rng = as_generator(seed)
         self._factory = (
             model_factory
@@ -152,16 +117,17 @@ class BootstrapEnsemble:
     def is_fitted(self) -> bool:
         return bool(self._models)
 
-    def _shared_edges(
-        self, model: GradientBoostedTrees, X: np.ndarray
-    ) -> Optional[list]:
-        """Bin edges of the full matrix, when sharing applies to ``model``."""
-        if not self.share_bin_edges:
-            return None
-        if getattr(model, "method", None) != "hist":
-            return None
-        _, edges = bin_features(X, n_bins=model.n_bins)
-        return edges
+    @property
+    def share_bin_edges(self) -> bool:
+        """Whether a full fit hands every member one set of bin edges.
+
+        True exactly for warm-started refits (``refit="incremental"``
+        with ``reuse_trees``): the edges are quantiles of the *full*
+        measured matrix, frozen until the next full fit, which keeps
+        cross-batch tree reuse coherent and lets :meth:`predict_stats`
+        bin the candidate matrix once for all members.
+        """
+        return self.refit == "incremental" and self.reuse_trees
 
     def fit(
         self,
@@ -198,25 +164,16 @@ class BootstrapEnsemble:
                     n, time.perf_counter() - start, "ensemble_incremental"
                 )
             return self
-        if self.fit_jobs is not None and self.fit_jobs > 1 and self.gamma > 1:
-            if sample_weight is not None:
-                raise ValueError(
-                    "sample_weight is not supported with parallel fit_jobs"
-                )
-            self._fit_parallel(X, y)
-            if timed:
-                notify_refit(n, time.perf_counter() - start, "ensemble")
-            return self
         self._models = []
         shared_edges: Optional[list] = None
         for _ in range(self.gamma):
             rows = self._rng.integers(0, n, size=n)
             model = self._factory()
-            if self.share_bin_edges:
+            hist = getattr(model, "method", None) == "hist"
+            if self.share_bin_edges and hist:
                 if shared_edges is None:
-                    shared_edges = self._shared_edges(model, X)
-                if shared_edges is not None:
-                    model.bin_edges = shared_edges
+                    shared_edges = bin_features(X, n_bins=model.n_bins)[1]
+                model.bin_edges = shared_edges
             if sample_weight is None:
                 model.fit(X[rows], y[rows])
             else:
@@ -260,35 +217,13 @@ class BootstrapEnsemble:
                     sample_weight=sample_weight[rows],
                 )
 
-    def _fit_parallel(self, X: np.ndarray, y: np.ndarray) -> "BootstrapEnsemble":
-        """Fan the Gamma member fits out over a process pool.
-
-        Deterministic given the ensemble seed (resample rows and member
-        seeds are drawn serially up front), but *not* RNG-stream
-        identical to the serial path — opt-in only.
-        """
-        n = len(y)
-        rows_per_member = [
-            self._rng.integers(0, n, size=n) for _ in range(self.gamma)
-        ]
-        seeds = [int(self._rng.integers(0, 2**62)) for _ in range(self.gamma)]
-        models = [self._factory() for _ in range(self.gamma)]
-        shared_edges = self._shared_edges(models[0], X)
-        payloads = [
-            (model, seed, X[rows], y[rows], shared_edges)
-            for model, seed, rows in zip(models, seeds, rows_per_member)
-        ]
-        jobs = min(self.fit_jobs or 1, self.gamma)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            self._models = list(pool.map(_fit_member, payloads))
-        return self
-
     def _common_edges(self) -> Optional[list]:
         """The bin-edge list shared by *all* members, else ``None``.
 
-        Identity-compared: only edges installed by ``share_bin_edges``
-        (one list object handed to every member) qualify, which is what
-        makes binning the candidate matrix once per pass safe.
+        Identity-compared: only edges shared by a full fit under
+        :attr:`share_bin_edges` (one list object handed to every member)
+        qualify, which is what makes binning the candidate matrix once
+        per pass safe.
         """
         edges: Optional[list] = None
         for model in self._models:

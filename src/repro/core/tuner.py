@@ -10,7 +10,7 @@ Subclasses implement :meth:`Tuner._generate_initial` and
 :meth:`Tuner._generate_next`; the base class owns bookkeeping, the
 best-so-far curve, and stopping.  Measurement itself goes through a
 pluggable :class:`~repro.hardware.executor.MeasureExecutor` (serial by
-default, process-parallel or caching on request), and every decision
+default, optionally cached or fault-injecting), and every decision
 point emits a structured :class:`~repro.core.events.TuningEvent`
 through the ``on_event`` callbacks.
 """
@@ -271,11 +271,12 @@ class EarlyStopper:
 class Tuner:
     """Base class for all node-wise tuners (one task, one search policy).
 
-    ``executor`` selects the measurement backend: ``None``/``"serial"``
-    (default), ``"parallel"``, a ``measurer -> MeasureExecutor``
-    factory, or a ready executor instance.  The default is resolved
-    lazily against :attr:`measurer` at each :meth:`tune` call, so tests
-    that swap the measurer keep working.
+    ``executor`` selects the measurement backend: ``None`` (a
+    :class:`~repro.hardware.executor.SerialExecutor`, the default), a
+    ``measurer -> MeasureExecutor`` factory, or a ready executor
+    instance; any other value raises :class:`ValueError`.  The default
+    is resolved lazily against :attr:`measurer` at each :meth:`tune`
+    call, so tests that swap the measurer keep working.
 
     ``warm_start`` (a :class:`~repro.tlog.WarmStartPlan`, default off)
     injects prior tuning-log configurations at the head of the
@@ -311,7 +312,7 @@ TransferHistory`.  The injection happens once, inside the
         )
         self._executor_spec = executor
         self._executor: Optional[MeasureExecutor] = None
-        if executor is not None and executor != "serial":
+        if executor is not None:
             self._executor = build_executor(self.measurer, executor)
 
         # measured state, shared with subclasses
@@ -343,7 +344,7 @@ TransferHistory`.  The injection happens once, inside the
         return len(self.measured_indices)
 
     def shutdown(self) -> None:
-        """Release executor worker resources (no-op for serial)."""
+        """Close the executor built from the spec (no-op for the default)."""
         if self._executor is not None:
             self._executor.close()
 

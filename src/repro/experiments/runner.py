@@ -64,9 +64,11 @@ def run_arm_on_task(
     result is a pure function of the cell coordinates, independent of
     which worker (or in which order) the cell executes.  Pass
     ``early_stopping=None`` to disable stopping (fixed-budget runs, as
-    in the Fig. 4 convergence study).  ``executor``/``measure_cache``
-    select the measurement backend for the tuner; ``faults``/``retry``
-    inject deterministic measurement faults with retry/backoff.
+    in the Fig. 4 convergence study).  ``executor`` (``None``, an
+    executor instance, or a ``measurer -> executor`` factory) and
+    ``measure_cache`` select the measurement backend for the tuner;
+    ``faults``/``retry`` inject deterministic measurement faults with
+    retry/backoff.
 
     ``checkpoint`` enables periodic tuning checkpoints; with
     ``resume=True`` and an existing checkpoint file the run continues
@@ -76,10 +78,7 @@ def run_arm_on_task(
     """
     seed = derive_seed(settings.env_seed, "trial", arm, task.name, trial)
     executor_spec: ExecutorSpec = executor
-    if (
-        measure_cache is not None or faults is not None or retry is not None
-        or not (executor is None or executor == "serial")
-    ):
+    if measure_cache is not None or faults is not None or retry is not None:
         def executor_spec(measurer):  # noqa: F811 - intentional rebind
             return build_executor(
                 measurer, executor, cache=measure_cache,

@@ -32,7 +32,6 @@ from repro.hardware.executor import (
     FaultInjectingExecutor,
     MeasureCache,
     MeasureExecutor,
-    ParallelExecutor,
     SerialExecutor,
     build_executor,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "SimulatedTask",
     "MeasureExecutor",
     "SerialExecutor",
-    "ParallelExecutor",
     "CachingExecutor",
     "FaultInjectingExecutor",
     "MeasureCache",

@@ -1,26 +1,26 @@
-"""Measurement execution: pluggable backends behind one batch contract.
+"""Measurement execution: one backend and its decorators, one batch contract.
 
 The tuning loop proposes batches of configurations; *how* a batch gets
 deployed is this module's concern.  :class:`MeasureExecutor` is the
-interface (AutoTVM's ``measure_batch`` contract), with three
-implementations:
+interface (AutoTVM's ``measure_batch`` contract), with one backend and
+two decorators:
 
 * :class:`SerialExecutor` — deploys the batch in order in-process
-  (the historical behaviour, and the default).
-* :class:`ParallelExecutor` — fans the batch out over a process pool.
-  The analytical cost model is pure CPU work, so chunks parallelize
-  cleanly; because measurement noise is a pure function of the
-  measurement ordinal (see :class:`repro.hardware.measure.Measurer`),
-  a parallel run reproduces the serial measurement stream bit for bit.
+  (the default).
 * :class:`CachingExecutor` — a decorator that memoizes
   ``(task fingerprint, config index) -> MeasureResult`` in memory and
   optionally on disk, so repeated trials/arms never re-simulate a
   configuration they have already deployed.
+* :class:`FaultInjectingExecutor` — a decorator that subjects each
+  measurement to deterministic transient faults with retry/backoff.
+
+Measurements run in parallel across tasks, not within a batch: a
+:class:`repro.fleet.FleetScheduler` tunes tasks on a pool of devices.
 
 Executors are cheap to construct around an existing
 :class:`~repro.hardware.measure.Measurer`; tuners accept an executor
-*spec* (a name, an instance, or a ``measurer -> executor`` factory) via
-their ``executor=`` argument — see :func:`build_executor`.
+*spec* (``None``, an instance, or a ``measurer -> executor`` factory)
+via their ``executor=`` argument — see :func:`build_executor`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.hardware.faults import (
@@ -54,7 +53,7 @@ logger = get_logger("hardware.executor")
 
 #: what tuners accept as their ``executor=`` argument
 ExecutorSpec = Union[
-    None, str, "MeasureExecutor", Callable[[Measurer], "MeasureExecutor"]
+    None, "MeasureExecutor", Callable[[Measurer], "MeasureExecutor"]
 ]
 
 
@@ -104,7 +103,7 @@ class MeasureExecutor:
         return []
 
     def close(self) -> None:
-        """Release any worker resources (idempotent)."""
+        """Release or persist held resources (idempotent)."""
 
     def __enter__(self) -> "MeasureExecutor":
         return self
@@ -141,128 +140,6 @@ class SerialExecutor(MeasureExecutor):
         results = self._measurer.measure_batch(config_indices)
         notify_measure("serial", len(results), time.perf_counter() - start)
         return results
-
-
-# ----------------------------------------------------------------------
-# parallel execution
-
-_WORKER_MEASURER: Optional[Measurer] = None
-
-
-def _init_worker(measurer_blob: bytes) -> None:
-    """Process-pool initializer: unpickle the measurer once per worker."""
-    global _WORKER_MEASURER
-    _WORKER_MEASURER = pickle.loads(measurer_blob)
-
-
-def _measure_chunk(
-    payload: Tuple[int, Tuple[int, ...]],
-) -> List[MeasureResult]:
-    """Measure one chunk of a batch at its assigned ordinals."""
-    start, indices = payload
-    measurer = _WORKER_MEASURER
-    if measurer is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker measurer not initialized")
-    return [
-        measurer.measure_at(start + offset, int(idx))
-        for offset, idx in enumerate(indices)
-    ]
-
-
-class ParallelExecutor(MeasureExecutor):
-    """Fans each batch out over a process pool of ``jobs`` workers.
-
-    Ordinals are assigned in batch order *before* dispatch and results
-    are reassembled in submission order, so the output is byte-identical
-    to :class:`SerialExecutor` regardless of worker scheduling.  Small
-    batches (fewer than ``min_parallel`` configs) are measured inline to
-    avoid paying IPC overhead for no win.
-    """
-
-    def __init__(
-        self,
-        measurer: Measurer,
-        jobs: Optional[int] = None,
-        chunk_size: int = 16,
-        min_parallel: int = 8,
-    ):
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self._measurer = measurer
-        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-        self.chunk_size = chunk_size
-        self.min_parallel = min_parallel
-        self._count = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def measurer(self) -> Measurer:
-        return self._measurer
-
-    @property
-    def num_measurements(self) -> int:
-        return self._count
-
-    def sync_ordinal(self, ordinal: int) -> None:
-        """Continue ordinal assignment from ``ordinal``."""
-        self._count = int(ordinal)
-        self._measurer.num_measurements = int(ordinal)
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_init_worker,
-                initargs=(pickle.dumps(self._measurer),),
-            )
-        return self._pool
-
-    def measure_batch(
-        self, config_indices: Sequence[int]
-    ) -> List[MeasureResult]:
-        """Deploy the batch across workers (results in submission order)."""
-        timed = measure_hooks_active()
-        t0 = time.perf_counter() if timed else 0.0
-        results = self._measure_batch_inner(config_indices)
-        if timed:
-            notify_measure(
-                "parallel", len(results), time.perf_counter() - t0
-            )
-        return results
-
-    def _measure_batch_inner(
-        self, config_indices: Sequence[int]
-    ) -> List[MeasureResult]:
-        indices = [int(i) for i in config_indices]
-        start = self._count
-        self._count += len(indices)
-        # keep the wrapped measurer's public counter in step, so code
-        # inspecting tuner.measurer.num_measurements sees the truth
-        self._measurer.num_measurements = self._count
-        if not indices:
-            return []
-        if self.jobs == 1 or len(indices) < self.min_parallel:
-            return [
-                self._measurer.measure_at(start + off, idx)
-                for off, idx in enumerate(indices)
-            ]
-        chunks = [
-            (start + off, tuple(indices[off: off + self.chunk_size]))
-            for off in range(0, len(indices), self.chunk_size)
-        ]
-        pool = self._ensure_pool()
-        results: List[MeasureResult] = []
-        for chunk_results in pool.map(_measure_chunk, chunks):
-            results.extend(chunk_results)
-        return results
-
-    def close(self) -> None:
-        """Shut the worker pool down (a later batch restarts it)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
 
 # ----------------------------------------------------------------------
@@ -416,8 +293,8 @@ class FaultInjectingExecutor(MeasureExecutor):
     ``MeasureErrorNo`` failures.
 
     Because the fault schedule is pure in the ordinal, a run with fault
-    injection is just as deterministic as one without: parallel equals
-    serial, and crash-plus-resume equals uninterrupted.
+    injection is just as deterministic as one without: crash-plus-resume
+    equals uninterrupted.
     """
 
     def __init__(
@@ -526,22 +403,20 @@ class FaultInjectingExecutor(MeasureExecutor):
 # ----------------------------------------------------------------------
 # spec resolution
 
-EXECUTOR_KINDS = ("serial", "parallel")
-
 
 def build_executor(
     measurer: Measurer,
     spec: ExecutorSpec = None,
-    jobs: Optional[int] = None,
     cache: Optional[MeasureCache] = None,
     faults: Optional[FaultModel] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> MeasureExecutor:
     """Resolve an executor spec against a measurer.
 
-    ``spec`` may be ``None``/``"serial"``, ``"parallel"``, an existing
+    ``spec`` may be ``None`` (a :class:`SerialExecutor`), an existing
     :class:`MeasureExecutor` (returned as-is), or a factory callable
-    ``measurer -> MeasureExecutor``.  ``cache`` wraps the result in a
+    ``measurer -> MeasureExecutor``; anything else raises
+    :class:`ValueError`.  ``cache`` wraps the result in a
     :class:`CachingExecutor`; ``faults`` wraps it (outermost) in a
     :class:`FaultInjectingExecutor` with ``retry`` (default policy when
     omitted).
@@ -550,14 +425,12 @@ def build_executor(
         executor = spec
     elif callable(spec):
         executor = spec(measurer)
-    elif spec is None or spec == "serial":
+    elif spec is None:
         executor = SerialExecutor(measurer)
-    elif spec == "parallel":
-        executor = ParallelExecutor(measurer, jobs=jobs)
     else:
         raise ValueError(
-            f"unknown executor spec {spec!r}; expected one of "
-            f"{EXECUTOR_KINDS}, an executor, or a factory"
+            f"unknown executor spec {spec!r}; expected None, an executor, "
+            "or a factory"
         )
     if cache is not None and not isinstance(executor, CachingExecutor):
         executor = CachingExecutor(executor, cache=cache)

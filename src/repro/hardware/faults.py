@@ -14,8 +14,8 @@ which :class:`FaultKind` each attempt raises are all a pure function of
 ``(fault seed, measurement ordinal)``.  Two consequences fall out for
 free:
 
-* a parallel run injects exactly the faults a serial run injects (the
-  ordinal, not the worker, decides), and
+* a task injects the same faults whichever fleet worker thread tunes
+  it (the ordinal, not the thread, decides), and
 * a crashed-and-resumed run replays the *remaining* fault schedule
   bit-for-bit, because resuming restores the ordinal counter.
 

@@ -168,10 +168,12 @@ class Measurer:
 
     Measurement noise is a pure function of
     ``(measurer seed, measurement ordinal, config index)``: the ordinal
-    is the position of the measurement in the run's global sequence, so
-    a batch split across worker processes reproduces the serial noise
-    exactly (the determinism contract of
-    :class:`repro.hardware.executor.ParallelExecutor`).
+    is the position of the measurement in the run's global sequence.
+    That purity is what makes resume and speculation exact: a resumed
+    run continues the stream from its restored ordinal
+    (:meth:`repro.hardware.executor.MeasureExecutor.sync_ordinal`), and
+    the speculating tuner predicts a batch's results on a second
+    measurer set to the same pre-batch ordinal.
     """
 
     def __init__(
@@ -200,9 +202,9 @@ class Measurer:
         """Deploy one configuration at an explicit sequence position.
 
         Pure with respect to measurer state: the same ``(ordinal,
-        config_index)`` always yields the same result, which is what
-        lets executors evaluate a batch out of order or in parallel and
-        still match the serial measurement stream bit for bit.
+        config_index)`` always yields the same result, so any measurer
+        of the same task and seed reproduces the measurement stream bit
+        for bit from a given ordinal.
         """
         task = self.task
         try:

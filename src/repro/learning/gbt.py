@@ -90,10 +90,6 @@ class GradientBoostedTrees:
         self._fitted = False
         self._stack = None  # lazy StackedTrees cache for vectorized predict
 
-    def reseed(self, seed: SeedLike) -> None:
-        """Replace the internal RNG (used by parallel ensemble fits)."""
-        self._rng = as_generator(seed)
-
     def __getstate__(self):
         # the stacked-predict cache is derivable; keep checkpoints lean
         state = self.__dict__.copy()

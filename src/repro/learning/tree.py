@@ -35,8 +35,9 @@ class RegressionTree:
     After :meth:`fit` the node list is flattened into parallel NumPy
     arrays (feature/threshold/left/right/value), so :meth:`predict`
     routes all rows level by level with pure array ops instead of a
-    per-node Python loop.  :meth:`predict_reference` keeps the original
-    per-node traversal for equivalence tests and benchmarks.
+    per-node Python loop.  The per-node traversal it replaced is the
+    oracle in ``tests/tree_oracle.py``, which the equivalence tests and
+    the hot-path benchmark compare against.
     """
 
     def __init__(
@@ -221,7 +222,7 @@ class RegressionTree:
         Depth-bounded vectorized traversal over the flat node arrays:
         each pass advances every not-yet-settled row one level, so the
         cost is O(depth * n) array ops with no per-node Python loop.
-        Bit-identical to :meth:`predict_reference`.
+        Bit-identical to the per-node routing loop it replaced.
         """
         if not self._nodes:
             raise RuntimeError("tree is not fitted")
@@ -243,33 +244,6 @@ class RegressionTree:
                 go_left, self._left[act], self._right[act]
             )
         return self._value[active]
-
-    def predict_reference(self, X: np.ndarray) -> np.ndarray:
-        """Reference predict: the original per-node routing loop.
-
-        Preserved verbatim for property tests and the hot-path
-        benchmark suite; :meth:`predict` must match it element-wise.
-        """
-        if not self._nodes:
-            raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        out = np.empty(X.shape[0])
-        active = np.zeros(X.shape[0], dtype=np.int64)  # current node per row
-        done = np.zeros(X.shape[0], dtype=bool)
-        while not done.all():
-            for node_id in np.unique(active[~done]):
-                node = self._nodes[node_id]
-                rows = np.nonzero((active == node_id) & ~done)[0]
-                if node.is_leaf:
-                    out[rows] = node.value
-                    done[rows] = True
-                else:
-                    go_left = X[rows, node.feature] <= node.threshold
-                    active[rows[go_left]] = node.left
-                    active[rows[~go_left]] = node.right
-        return out
 
     @property
     def node_count(self) -> int:

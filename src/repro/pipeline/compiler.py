@@ -198,21 +198,17 @@ class DeploymentCompiler:
     @staticmethod
     def _executor_spec(
         executor: ExecutorSpec,
-        jobs: Optional[int] = None,
         measure_cache: Optional[MeasureCache] = None,
         faults: Optional[FaultModel] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> ExecutorSpec:
         """Fold executor options into a single spec for :func:`make_tuner`."""
-        if (
-            measure_cache is None and jobs is None and faults is None
-            and retry is None and (executor is None or executor == "serial")
-        ):
+        if measure_cache is None and faults is None and retry is None:
             return executor
 
         def spec(measurer):
             return build_executor(
-                measurer, executor, jobs=jobs, cache=measure_cache,
+                measurer, executor, cache=measure_cache,
                 faults=faults, retry=retry,
             )
 
@@ -497,7 +493,6 @@ class DeploymentCompiler:
         record_store: Optional[RecordStore] = None,
         progress: Optional[Callable[[TaskSpec, TuningResult], None]] = None,
         executor: ExecutorSpec = None,
-        jobs: Optional[int] = None,
         measure_cache: Optional[MeasureCache] = None,
         faults: Optional[FaultModel] = None,
         retry: Optional[RetryPolicy] = None,
@@ -516,10 +511,11 @@ class DeploymentCompiler:
         """Tune every task with arm ``tuner_name`` and compile.
 
         ``trial_seed`` varies the tuner randomness across repeated
-        trials while the environment stays fixed.  ``executor`` /
-        ``jobs`` / ``measure_cache`` select the measurement backend the
-        per-task tuners use; results are identical for every choice
-        (see ``docs/EXECUTION.md``).  ``faults``/``retry`` inject
+        trials while the environment stays fixed.  ``executor`` (an
+        executor spec: ``None``, an instance, or a ``measurer ->
+        executor`` factory) and ``measure_cache`` select the
+        measurement backend the per-task tuners use (see
+        ``docs/EXECUTION.md``).  ``faults``/``retry`` inject
         deterministic measurement faults with retry/backoff.
 
         Every compile runs its tasks through one
@@ -638,7 +634,7 @@ class DeploymentCompiler:
                     trial_seed,
                     kwargs if plan is None else dict(kwargs, warm_start=plan),
                     self._executor_spec(
-                        executor, jobs=jobs, measure_cache=measure_cache,
+                        executor, measure_cache=measure_cache,
                         faults=home.fault_model(faults), retry=retry,
                     ),
                     done_path, ckpt_path, obs_path, observers[ftask.key],

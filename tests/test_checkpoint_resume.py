@@ -71,6 +71,27 @@ def _add_tuner_state(path, **extra):
     dataclasses.replace(ckpt, payload=pickle.dumps(payload)).save(path)
 
 
+#: every attribute a BAO ensemble pickled while ``fit_jobs`` and
+#: ``share_bin_edges`` were still constructor arguments
+_OLD_ENSEMBLE_ATTRS = {
+    "gamma", "share_bin_edges", "fit_jobs", "refit", "incremental_rounds",
+    "max_trees", "reuse_trees", "_rng", "_factory", "_models",
+    "reused_trees_total",
+}
+
+
+def _as_old_ensemble(path, share_bin_edges):
+    """Rewrite a BAO checkpoint's ensemble to the old attribute set."""
+    ckpt = TuningCheckpoint.load(path)
+    payload = pickle.loads(ckpt.payload)
+    state = vars(payload["tuner_state"]["bao"]._ensemble)
+    for key in set(state) - _OLD_ENSEMBLE_ATTRS:
+        del state[key]
+    state.update(fit_jobs=None, share_bin_edges=share_bin_edges)
+    assert set(state) == _OLD_ENSEMBLE_ATTRS
+    dataclasses.replace(ckpt, payload=pickle.dumps(payload)).save(path)
+
+
 class TestTuningCheckpointFile:
     def test_save_load_roundtrip(self, tmp_path, dense_task):
         tuner = make_tuner("random", dense_task, seed=3, batch_size=8)
@@ -211,6 +232,38 @@ class TestCrashResume:
         assert resumed.best_index == baseline.best_index
         assert resumed.best_gflops == baseline.best_gflops
 
+    @pytest.mark.parametrize("refit", ["full", "incremental"])
+    @pytest.mark.parametrize("batches", [0, 1, 4])
+    def test_checkpoint_carrying_ensemble_knobs_resumes(
+        self, tmp_path, dense_task, refit, batches
+    ):
+        # BAO checkpoints once pickled ``fit_jobs`` and a stored
+        # ``share_bin_edges`` flag on the ensemble (true only for
+        # incremental refits); both are ignored on resume.  ``batches``
+        # measured batches precede the checkpoint: none, the initial
+        # batch, or enough for refits on a fitted ensemble
+        kwargs = dict(ARM_KWARGS["bted+bao"], refit=refit)
+        n_trial = 20
+        baseline = make_tuner("bted+bao", dense_task, seed=5, **kwargs).tune(
+            n_trial=n_trial, early_stopping=None
+        )
+        path = tmp_path / "old.ckpt"
+        tuner = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        if batches:
+            _crash_after(tuner, n_batches=batches, path=path, n_trial=n_trial)
+        else:
+            tuner.snapshot(
+                n_trial=n_trial, early_stopping=None, initialized=False
+            ).save(path)
+        _as_old_ensemble(path, share_bin_edges=refit == "incremental")
+        assert TuningCheckpoint.load(path).initialized is (batches > 0)
+
+        fresh = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        resumed = fresh.resume(path)
+        assert _trace(resumed) == _trace(baseline)
+        assert resumed.best_index == baseline.best_index
+        assert resumed.best_gflops == baseline.best_gflops
+
     def test_resume_continues_early_stopper_state(self, tmp_path, dense_task):
         window = 12
         baseline = make_tuner("random", dense_task, seed=5, batch_size=4).tune(
@@ -250,7 +303,7 @@ class TestCrashResume:
 
         def executor_spec(measurer):
             return build_executor(
-                measurer, "serial", faults=faults, retry=retry
+                measurer, None, faults=faults, retry=retry
             )
 
         baseline = make_tuner(
@@ -306,7 +359,7 @@ class TestCrashResume:
         # complete the loop and record failures as error records
         def executor_spec(measurer):
             return build_executor(
-                measurer, "serial",
+                measurer, None,
                 faults=FaultModel(rate=0.6, seed=3),
                 retry=RetryPolicy(max_retries=0),
             )

@@ -22,6 +22,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tune", "--model", "lenet"])
 
+    def test_tune_has_no_measurement_backend_flags(self):
+        # measurements run in parallel across tasks: `fleet --jobs`
+        for flags in (["--executor", "parallel"], ["--jobs", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["tune", "--model", "alexnet", *flags]
+                )
+
     def test_experiment_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig9"])

@@ -1,11 +1,12 @@
-"""Measurement executors: serial/parallel equivalence and caching.
+"""Measurement executors: the serial backend, spec resolution, caching.
 
 The executor contract (``docs/EXECUTION.md``) promises that every
-backend produces the measurement stream the serial path would have
-produced, because noise is a pure function of the measurement ordinal.
-These tests pin that promise, plus the cache semantics: hits return the
-original result unchanged, keys keep different task environments apart,
-and the store round-trips through disk.
+executor composition produces the measurement stream the serial path
+would have produced, because noise is a pure function of the
+measurement ordinal.  These tests pin that promise for the factory
+spec, plus the cache semantics: hits return the original result
+unchanged, keys keep different task environments apart, and the store
+round-trips through disk.
 """
 
 import pickle
@@ -17,7 +18,6 @@ from repro.hardware.executor import (
     CachingExecutor,
     MeasureCache,
     MeasureExecutor,
-    ParallelExecutor,
     SerialExecutor,
     build_executor,
 )
@@ -32,9 +32,9 @@ def _signature(results):
     ]
 
 
-def _parallel_factory(measurer):
+def _caching_factory(measurer):
     """Executor factory used by determinism tests (module-level: picklable)."""
-    return ParallelExecutor(measurer, jobs=2, chunk_size=4, min_parallel=1)
+    return CachingExecutor(SerialExecutor(measurer))
 
 
 class TestSerialExecutor:
@@ -50,70 +50,6 @@ class TestSerialExecutor:
     def test_context_manager(self, dense_task):
         with SerialExecutor(Measurer(dense_task, seed=3)) as ex:
             assert ex.measure_batch([1])[0].config_index == 1
-
-
-class TestParallelExecutor:
-    def test_pool_path_identical_to_serial(self, dense_task):
-        serial = SerialExecutor(Measurer(dense_task, seed=3))
-        parallel = ParallelExecutor(
-            Measurer(dense_task, seed=3), jobs=2, chunk_size=4, min_parallel=1
-        )
-        batches = [list(range(12)), [30, 31, 1, 2, 40, 41, 42, 43, 44]]
-        try:
-            for batch in batches:
-                assert _signature(parallel.measure_batch(batch)) == _signature(
-                    serial.measure_batch(batch)
-                )
-        finally:
-            parallel.close()
-
-    def test_inline_path_identical_to_serial(self, dense_task):
-        serial = SerialExecutor(Measurer(dense_task, seed=3))
-        parallel = ParallelExecutor(
-            Measurer(dense_task, seed=3), jobs=2, min_parallel=64
-        )
-        batch = [4, 7, 7, 2]
-        assert _signature(parallel.measure_batch(batch)) == _signature(
-            serial.measure_batch(batch)
-        )
-
-    def test_ordinals_span_batches(self, dense_task):
-        """The k-th submission is ordinal k even across many batches."""
-        serial = SerialExecutor(Measurer(dense_task, seed=3))
-        parallel = ParallelExecutor(
-            Measurer(dense_task, seed=3), jobs=2, chunk_size=2, min_parallel=1
-        )
-        try:
-            for batch in ([3, 1, 4], [1, 5], [9, 2, 6, 5, 3]):
-                assert _signature(parallel.measure_batch(batch)) == _signature(
-                    serial.measure_batch(batch)
-                )
-            assert parallel.num_measurements == serial.num_measurements == 10
-            assert parallel.measurer.num_measurements == 10
-        finally:
-            parallel.close()
-
-    def test_close_is_idempotent_and_restartable(self, dense_task):
-        parallel = ParallelExecutor(
-            Measurer(dense_task, seed=3), jobs=2, min_parallel=1
-        )
-        parallel.measure_batch([0, 1])
-        parallel.close()
-        parallel.close()
-        assert len(parallel.measure_batch([2, 3])) == 2
-        parallel.close()
-
-    def test_rejects_bad_args(self, dense_task):
-        measurer = Measurer(dense_task, seed=3)
-        with pytest.raises(ValueError):
-            ParallelExecutor(measurer, jobs=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(measurer, chunk_size=0)
-
-    def test_empty_batch(self, dense_task):
-        parallel = ParallelExecutor(Measurer(dense_task, seed=3), jobs=2)
-        assert parallel.measure_batch([]) == []
-        assert parallel.num_measurements == 0
 
 
 class TestCachingExecutor:
@@ -186,27 +122,29 @@ class TestBuildExecutor:
     def test_spec_resolution(self, dense_task):
         measurer = Measurer(dense_task, seed=3)
         assert isinstance(build_executor(measurer), SerialExecutor)
-        assert isinstance(build_executor(measurer, "serial"), SerialExecutor)
-        assert isinstance(
-            build_executor(measurer, "parallel", jobs=2), ParallelExecutor
-        )
         ready = SerialExecutor(measurer)
         assert build_executor(measurer, ready) is ready
-        built = build_executor(measurer, _parallel_factory)
-        assert isinstance(built, ParallelExecutor) and built.jobs == 2
+        built = build_executor(measurer, _caching_factory)
+        assert isinstance(built, CachingExecutor)
+        assert isinstance(built.inner, SerialExecutor)
+        assert built.measurer is measurer
 
     def test_cache_wrapping(self, dense_task):
         measurer = Measurer(dense_task, seed=3)
         cache = MeasureCache()
-        ex = build_executor(measurer, "serial", cache=cache)
+        ex = build_executor(measurer, None, cache=cache)
         assert isinstance(ex, CachingExecutor)
         assert ex.cache is cache
         # an executor that already caches is not double-wrapped
         assert build_executor(measurer, ex, cache=cache) is ex
 
     def test_unknown_spec_raises(self, dense_task):
-        with pytest.raises(ValueError, match="unknown executor spec"):
-            build_executor(Measurer(dense_task, seed=3), "threads")
+        # the retired string specs are unknown too, also to tuners
+        for spec in ("threads", "serial", "parallel"):
+            with pytest.raises(ValueError, match="unknown executor spec"):
+                build_executor(Measurer(dense_task, seed=3), spec)
+            with pytest.raises(ValueError, match="unknown executor spec"):
+                make_tuner("random", dense_task, executor=spec)
 
     def test_base_class_is_abstract(self, dense_task):
         base = MeasureExecutor()
@@ -215,7 +153,7 @@ class TestBuildExecutor:
 
 
 class TestTunerParallelDeterminism:
-    """Same seed => identical TrialRecord sequences, serial vs parallel."""
+    """Same seed => identical TrialRecord sequences, default vs factory spec."""
 
     @pytest.mark.parametrize("arm", ["autotvm", "bted", "bted+bao"])
     def test_records_identical_across_backends(
@@ -232,7 +170,7 @@ class TestTunerParallelDeterminism:
         }[arm]
         for task in (small_task, dense_task):
             runs = []
-            for spec in (None, _parallel_factory):
+            for spec in (None, _caching_factory):
                 tuner = make_tuner(
                     arm, task, seed=11, executor=spec, **kwargs
                 )

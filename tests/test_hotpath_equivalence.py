@@ -1,12 +1,12 @@
 """Equivalence pins for the vectorized hot paths.
 
-Every optimization in the hot-path PR must be either bit-identical to
-the reference implementation it replaced (vectorized tree predict,
-boolean-mask kernel bandwidth, ``np.isin`` visited filtering,
-``FeatureCache``) or, where the arithmetic was reassociated
-(incremental TED against the in-place loop in ``tests/ted_oracle.py``),
-divergent only on floating-point near-ties.  These tests check those
-contracts over random inputs.
+Every hot-path optimization must be either bit-identical to the
+reference implementation it replaced (vectorized tree predict against
+the per-node walk in ``tests/tree_oracle.py``, boolean-mask kernel
+bandwidth, ``np.isin`` visited filtering, ``FeatureCache``) or, where
+the arithmetic was reassociated (incremental TED against the in-place
+loop in ``tests/ted_oracle.py``), divergent only on floating-point
+near-ties.  These tests check those contracts over random inputs.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.learning.tree import RegressionTree
 from repro.nn.workloads import DenseWorkload
 from repro.space.space import FeatureCache
 from repro.utils.mathx import pairwise_sq_dists
-from tests import ted_oracle
+from tests import ted_oracle, tree_oracle
 
 PROPERTY = settings(
     max_examples=25,
@@ -58,7 +58,7 @@ class TestTreePredictEquivalence:
         tree = RegressionTree(max_depth=max_depth, seed=0).fit(X, y)
         X_test = rng.random((n_test, d))
         fast = tree.predict(X_test)
-        ref = tree.predict_reference(X_test)
+        ref = tree_oracle.predict(tree, X_test)
         assert fast.dtype == ref.dtype
         assert np.array_equal(fast, ref)
 
@@ -242,30 +242,31 @@ class TestPhaseTimingEvents:
         assert all(e.measure_s > 0.0 for e in measured)
 
 
-class TestEnsembleAccelerationFlags:
+class TestSharedBinEdges:
     def _data(self, n=40, d=6, seed=0):
         rng = np.random.default_rng(seed)
         return rng.random((n, d)), rng.random(n)
 
-    def test_share_bin_edges_smoke(self):
+    def test_incremental_members_share_one_edges_object(self):
         X, y = self._data()
-        ensemble = BootstrapEnsemble(gamma=2, seed=1, share_bin_edges=True)
-        ensemble.fit(X, y)
-        scores = ensemble.predict_sum(X)
-        assert scores.shape == (len(y),)
-        assert np.all(np.isfinite(scores))
-        # every member binned against the same shared edges
-        edges = [m._edges for m in ensemble._models]
-        assert all(e is edges[0] for e in edges)
+        ensemble = BootstrapEnsemble(gamma=2, seed=1, refit="incremental")
+        assert ensemble.share_bin_edges
+        ensemble.fit(X[:30], y[:30])
+        edges = ensemble._common_edges()
+        assert edges is not None
+        assert all(m._edges is edges for m in ensemble._models)
+        ensemble.fit(X, y)  # warm-started: the edges stay frozen
+        assert ensemble.reused_trees_total > 0
+        assert ensemble._common_edges() is edges
+        assert np.all(np.isfinite(ensemble.predict_sum(X)))
 
-    def test_parallel_fit_smoke(self):
-        X, y = self._data(n=30)
-        ensemble = BootstrapEnsemble(gamma=2, seed=1, fit_jobs=2)
+    def test_full_refit_members_do_not_share_edges(self):
+        X, y = self._data()
+        ensemble = BootstrapEnsemble(gamma=2, seed=1, refit="full")
+        assert not ensemble.share_bin_edges
         ensemble.fit(X, y)
-        scores = ensemble.predict_sum(X)
-        assert scores.shape == (len(y),)
-        assert np.all(np.isfinite(scores))
-
-    def test_invalid_fit_jobs_rejected(self):
-        with pytest.raises(ValueError, match="fit_jobs"):
-            BootstrapEnsemble(gamma=2, fit_jobs=0)
+        assert ensemble._common_edges() is None
+        # without tree reuse an incremental ensemble is a full one
+        assert not BootstrapEnsemble(
+            gamma=2, refit="incremental", reuse_trees=False
+        ).share_bin_edges

@@ -62,9 +62,7 @@ ARM_KWARGS = {
 
 def _make(arm, seed, faults, retry):
     def executor_spec(measurer):
-        return build_executor(
-            measurer, "serial", faults=faults, retry=retry
-        )
+        return build_executor(measurer, None, faults=faults, retry=retry)
 
     return make_tuner(
         arm, TASK, seed=seed, executor=executor_spec, **ARM_KWARGS[arm]
