@@ -179,6 +179,8 @@ class DeploymentCompiler:
             graph, include_winograd=include_winograd
         )
         self._untuned = untuned_ops(graph)
+        self._environments: Dict[tuple, SimulatedTask] = {}
+        self._environments_lock = threading.Lock()
 
     def simulated_task(
         self, spec: TaskSpec, device: Optional[GpuDevice] = None
@@ -189,9 +191,26 @@ class DeploymentCompiler:
         defaults to the compiler's device (the deployment target).
         Compiles pass each task's home device so a mixed pool really
         measures on distinct hardware.
+
+        An environment is a pure function of the task's workload and
+        template, the device and ``env_seed``, and nothing writes to it,
+        so the compiler builds each one once and keeps it for its own
+        life: the tuning-log lookup, the tuner, the tuning-log
+        contribution and the deployment of one task on one device share
+        one object.  The key holds the device itself, not its name, so
+        two devices with one name and different cost models never share
+        an environment.  Fleet worker threads call this concurrently; a
+        lock makes each environment built exactly once.
         """
         target = self.device if device is None else device
-        return spec.to_simulated(device=target, seed=self.env_seed)
+        key = (spec.workload, spec.template, target, self.env_seed)
+        with self._environments_lock:
+            task = self._environments.get(key)
+            if task is None:
+                task = self._environments[key] = spec.to_simulated(
+                    device=target, seed=self.env_seed
+                )
+            return task
 
     # ------------------------------------------------------------------
 
@@ -278,7 +297,7 @@ class DeploymentCompiler:
         transferable neighbor (with ``warm_start``) yields a plan for
         the tuner; otherwise the task runs cold.
         """
-        task = spec.to_simulated(device=device, seed=self.env_seed)
+        task = self.simulated_task(spec, device=device)
         sig = TaskSignature.of(
             spec.workload, task.space, device, template=spec.template
         )
@@ -343,15 +362,14 @@ class DeploymentCompiler:
         tlog_db: TuningLogDB,
         sig: TaskSignature,
         spec: TaskSpec,
+        device: GpuDevice,
         result: TuningResult,
         run_key: str,
     ) -> None:
         """Append one tuned task's measurements to the database."""
         if not result.records:
             return
-        from repro.space.templates import build_space
-
-        space = build_space(spec.workload, spec.template)
+        space = self.simulated_task(spec, device=device).space
         indices = [r.config_index for r in result.records]
         digits = space.decode_batch(indices)
         tlog_db.record_task(
@@ -667,10 +685,10 @@ class DeploymentCompiler:
         # order) so lookups never see same-run records
         if tlog_db is not None:
             run_key = self._tlog_run_key(tuner_name, trial_seed, n_trial)
-            for key, (served, _, sig) in consulted.items():
+            for i, (key, (served, _, sig)) in enumerate(consulted.items()):
                 if served is None:
                     self._contribute(
-                        tlog_db, sig, by_key[key],
+                        tlog_db, sig, by_key[key], pool.home_of(i).device,
                         fleet_result.results[key], run_key,
                     )
         for report in fleet_result.reports:

@@ -12,7 +12,8 @@ anywhere the library runs.
 Endpoints (all JSON unless noted)::
 
     GET  /                      dashboard (HTML)
-    GET  /api/health            liveness + job counts by state
+    GET  /api/health            runner liveness + job counts by state
+                                (503 once a started runner stopped)
     GET  /api/fleet             fleet spec, queue depth, utilization
     POST /api/jobs              submit a job (JobSpec JSON body)
     GET  /api/jobs              list jobs (?tenant=&state=)
@@ -234,8 +235,33 @@ class TuningService:
             ),
         }
 
-    def health(self) -> Dict[str, Any]:
-        return {"status": "ok", "counts": self.store.counts_by_state()}
+    def health(self) -> Tuple[int, Dict[str, Any]]:
+        """(HTTP status, body) of the health check.
+
+        The body reports the runner (see :meth:`JobRunner.health`) and
+        the job counts by state.  Once a started runner's thread has
+        ended, admitted jobs will never run: the answer is then a 503
+        whose body adds a structured ``error`` naming the runner state.
+        A service built with ``start_runner=False`` reports its runner
+        as ``"disabled"`` and stays a 200.
+        """
+        runner = self.runner.health()
+        body: Dict[str, Any] = {
+            "status": "ok",
+            "runner": runner,
+            "counts": self.store.counts_by_state(),
+        }
+        if runner["state"] in ("running", "disabled"):
+            return 200, body
+        body["status"] = "unavailable"
+        body["error"] = {
+            "code": f"runner_{runner['state']}",
+            "message": (
+                f"the job runner is {runner['state']}; admitted jobs "
+                "will not run"
+            ),
+        }
+        return 503, body
 
 
 def _make_handler(service: TuningService):
@@ -300,7 +326,8 @@ def _make_handler(service: TuningService):
             rest = parts[1:]
             if method == "GET":
                 if rest == ["health"]:
-                    return 200, service.health(), None
+                    status, body = service.health()
+                    return status, body, None
                 if rest == ["fleet"]:
                     return 200, service.fleet_status(), None
                 if rest == ["jobs"]:

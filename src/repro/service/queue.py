@@ -20,6 +20,10 @@ join it:
 The admission check and the insert run under the store's lock via
 :meth:`JobStore.submit`, so a tenant cannot race itself past its
 quota from concurrent HTTP handler threads.
+
+Every admitted job raises :attr:`JobQueue.wakeup` once its row has
+committed, so an idle :class:`~repro.service.runner.JobRunner` claims
+it at once instead of on its next poll.
 """
 
 from __future__ import annotations
@@ -58,13 +62,15 @@ class JobQueue:
         self.default_quota = default_quota
         # serializes the check-then-insert of concurrent submits
         self._admit_lock = threading.Lock()
+        #: set after every committed submit; an idle runner waits on it
+        self.wakeup = threading.Event()
 
     def quota_for(self, tenant: str) -> int:
         """The active-job limit for one tenant."""
         return self.quotas.get(tenant, self.default_quota)
 
     def submit(self, spec: JobSpec) -> Job:
-        """Admit one job, or raise a structured quota rejection."""
+        """Admit one job and wake the runner, or raise a quota rejection."""
         limit = self.quota_for(spec.tenant)
         with self._admit_lock:
             active = self.store.active_count(spec.tenant)
@@ -76,7 +82,9 @@ class JobQueue:
                     limit=limit,
                     active=active,
                 )
-            return self.store.submit(spec)
+            job = self.store.submit(spec)
+        self.wakeup.set()
+        return job
 
     def claim_next(self) -> Optional[Job]:
         """Dequeue the next job: highest priority, FIFO within it."""

@@ -40,6 +40,7 @@ signatures are served at zero measurement cost.
 from __future__ import annotations
 
 import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -164,6 +165,7 @@ class JobRunner:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._current_job: Optional[str] = None
+        self._last_claim_s: Optional[float] = None
 
     # ------------------------------------------------------------------
 
@@ -188,9 +190,36 @@ class JobRunner:
 
     # ------------------------------------------------------------------
 
+    def health(self) -> Dict[str, Any]:
+        """Liveness of the worker loop: state, current job, claim age.
+
+        ``state`` is ``"disabled"`` before :meth:`start`, ``"running"``
+        while the worker thread lives, ``"stopped"`` once it ended after
+        :meth:`stop`, and ``"dead"`` when it ended without one (an
+        exception escaped the loop).  ``last_claim_age_s`` is the time
+        since the loop last tried to claim a job (``None`` before its
+        first try); it grows while a job runs.
+        """
+        thread = self._thread
+        if thread is None:
+            state = "disabled"
+        elif thread.is_alive():
+            state = "running"
+        else:
+            state = "stopped" if self._stop.is_set() else "dead"
+        last = self._last_claim_s
+        return {
+            "state": state,
+            "alive": state == "running",
+            "current_job": self._current_job,
+            "last_claim_age_s": (
+                None if last is None else round(time.monotonic() - last, 3)
+            ),
+        }
+
     def start(self) -> None:
         """Spawn the worker thread (recovery runs first)."""
-        if self._thread is not None:
+        if self._thread is not None and self._thread.is_alive():
             raise RuntimeError("runner already started")
         self._stop.clear()
         self._thread = threading.Thread(
@@ -199,21 +228,38 @@ class JobRunner:
         self._thread.start()
 
     def stop(self, timeout: Optional[float] = 30.0) -> None:
-        """Ask the loop to exit after the current job and join it."""
+        """Ask the loop to exit after the current job and join it.
+
+        Raises the queue's wake-up signal as well, so an idle runner
+        exits at once rather than at the end of its poll interval.
+        """
         self._stop.set()
+        self.queue.wakeup.set()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
-            self._thread = None
 
     def run_forever(self) -> None:
         """Recover interrupted jobs, then drain the queue until stopped.
 
-        A failed claim (for example sqlite's ``database is locked``) is
-        logged and retried after ``poll_interval_s``; it never ends the
-        loop, so admitted jobs still run once the store recovers.
+        Each pass clears the queue's wake-up signal, claims, and waits
+        on the signal only when the queue was empty.  Clearing before
+        the claim means a submit committed after the claim looked still
+        ends the wait, so jobs start as they arrive; the wait times out
+        after ``poll_interval_s`` as a fallback re-check.  A failed
+        claim (for example sqlite's ``database is locked``) is logged
+        and retried after a ``poll_interval_s`` back-off that only
+        :meth:`stop` cuts short; it never ends the loop, so admitted
+        jobs still run once the store recovers.
         """
         self.recover()
-        while not self._stop.is_set():
+        wakeup = self.queue.wakeup
+        while True:
+            wakeup.clear()
+            # checked after the clear, so a stop() raised past this
+            # point still ends the wait below
+            if self._stop.is_set():
+                return
+            self._last_claim_s = time.monotonic()
             try:
                 job = self.queue.claim_next()
             except Exception:  # noqa: BLE001 - the runner must outlive it
@@ -221,9 +267,10 @@ class JobRunner:
                     "claiming the next job failed; retrying in %.2fs",
                     self.poll_interval_s,
                 )
-                job = None
-            if job is None:
                 self._stop.wait(self.poll_interval_s)
+                continue
+            if job is None:
+                wakeup.wait(self.poll_interval_s)
                 continue
             self._run_job(job, resume=False)
 

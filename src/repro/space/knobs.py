@@ -12,7 +12,8 @@ Knob types mirror AutoTVM's ``define_split`` / ``define_knob`` /
 
 Every knob exposes ``features(i)``: a fixed-width numeric embedding of
 its ``i``-th candidate used for distance computations (TED, BAO
-neighborhoods) and as cost-model input.
+neighborhoods) and as cost-model input; ``feature_table()`` returns
+all of them at once.
 
 Knobs also expose ``signature()``: a canonical, JSON-serializable
 description of the knob *definition* (not any chosen value).  Signatures
@@ -34,7 +35,13 @@ from repro.utils.mathx import all_factorizations
 
 
 class Knob:
-    """Base class: a named, ordered list of candidate values."""
+    """Base class: a named, ordered list of candidate values.
+
+    Subclasses fill ``_features``, the ``(len(self), feature_dim)``
+    embedding table of their candidates, at construction.
+    """
+
+    _features: np.ndarray
 
     def __init__(self, name: str):
         if not name:
@@ -55,7 +62,14 @@ class Knob:
 
     def features(self, index: int) -> np.ndarray:
         """Feature embedding of candidate ``index`` (length feature_dim)."""
-        raise NotImplementedError
+        return self._features[self._check_index(index)]
+
+    def feature_table(self) -> np.ndarray:
+        """Feature embeddings of every candidate, one row per index.
+
+        The knob's own table, not a copy: callers must not write to it.
+        """
+        return self._features
 
     def signature(self) -> dict:
         """Canonical JSON-serializable description of this knob."""
@@ -105,9 +119,6 @@ class SplitKnob(Knob):
     def feature_dim(self) -> int:
         return self.num_outputs
 
-    def features(self, index: int) -> np.ndarray:
-        return self._features[self._check_index(index)]
-
     def signature(self) -> dict:
         return {
             "type": "split",
@@ -139,9 +150,6 @@ class OtherKnob(Knob):
     @property
     def feature_dim(self) -> int:
         return 1
-
-    def features(self, index: int) -> np.ndarray:
-        return self._features[self._check_index(index)]
 
     def signature(self) -> dict:
         return {
@@ -199,9 +207,6 @@ class ReorderKnob(Knob):
     @property
     def feature_dim(self) -> int:
         return len(self.axes)
-
-    def features(self, index: int) -> np.ndarray:
-        return self._features[self._check_index(index)]
 
     def signature(self) -> dict:
         return {

@@ -107,10 +107,17 @@ class ConfigSpace:
         self.knobs.append(knob)
         self._knob_by_name[knob.name] = knob
         self._radix.append(len(knob))
-        table = np.stack([knob.features(i) for i in range(len(knob))])
-        self._feature_tables.append(table)
+        self._feature_tables.append(knob.feature_table().copy())
         self._content_hash = None
         return knob
+
+    def __getstate__(self) -> dict:
+        # the cached digest is derived state: leaving it out keeps a
+        # pickled space (and so a checkpoint holding one) the same bytes
+        # whether or not something hashed the space first
+        state = self.__dict__.copy()
+        state["_content_hash"] = None
+        return state
 
     def signature_dict(self) -> dict:
         """Canonical description of the knob definitions (order matters).

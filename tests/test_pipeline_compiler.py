@@ -1,16 +1,22 @@
 """Tests for repro.pipeline.compiler: deployment and latency evaluation."""
 
+import dataclasses
+import os
 import sys
+import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.fleet import FleetError
+from repro.fleet import Fleet, FleetError
+from repro.hardware.device import GTX_1080_TI
 from repro.nn.graph import GraphBuilder
 from repro.obs import RunObservation
 from repro.pipeline.compiler import CompiledModel, DeploymentCompiler, KernelTiming
 from repro.pipeline.records import RecordStore
+from repro.pipeline.tasks import TaskSpec
 
 
 def tiny_model():
@@ -242,6 +248,117 @@ class TestCompileContracts:
                 assert _lines(store) == _lines(serial)
         finally:
             sys.setswitchinterval(interval)
+
+
+def count_builds(monkeypatch):
+    """Count environment builds: ``to_simulated`` and ``build_space`` calls.
+
+    Environments are keyed ``(task_id, template, device name)``, spaces
+    ``(workload, template)``.
+    """
+    import repro.hardware.measure as measure
+    import repro.space.templates as templates
+
+    envs, spaces = Counter(), Counter()
+    to_simulated = TaskSpec.to_simulated
+    build_space = templates.build_space
+
+    def counted_to_simulated(spec, device=GTX_1080_TI, seed=0):
+        envs[(spec.task_id, spec.template, device.name)] += 1
+        return to_simulated(spec, device=device, seed=seed)
+
+    def counted_build_space(workload, template="direct"):
+        spaces[(workload, template)] += 1
+        return build_space(workload, template)
+
+    monkeypatch.setattr(TaskSpec, "to_simulated", counted_to_simulated)
+    monkeypatch.setattr(measure, "build_space", counted_build_space)
+    monkeypatch.setattr(templates, "build_space", counted_build_space)
+    return envs, spaces
+
+
+class TestEnvironmentCache:
+    """A compiler builds each (task, template, device) environment once."""
+
+    FLEET = "gtx1080ti,titanv,jetsontx2"
+
+    def test_mixed_fleet_compile_builds_each_environment_once(
+        self, tmp_path, monkeypatch
+    ):
+        envs, spaces = count_builds(monkeypatch)
+        compiler = DeploymentCompiler(
+            three_task_model(), env_seed=5, include_winograd=True
+        )
+        assert {spec.template for spec in compiler.tasks} == {
+            "direct", "winograd"
+        }
+        pool = Fleet.from_spec(self.FLEET)
+        # serve, tune and contribute on each task's home device, deploy
+        # on the compiler's own device
+        expected = {
+            (spec.task_id, spec.template, device.name)
+            for i, spec in enumerate(compiler.tasks)
+            for device in (pool.home_of(i).device, compiler.device)
+        }
+        jobs = (os.cpu_count() or 1) + 2
+        options = dict(
+            n_trial=8, early_stopping=None, tlog=tmp_path / "tlog",
+            fleet=self.FLEET, fleet_jobs=jobs,
+        )
+        first = compiler.tune("random", **options)
+        assert set(first.tlog_status.values()) == {"cold"}
+        assert envs == Counter(dict.fromkeys(expected, 1))
+        assert sum(spaces.values()) == len(expected)
+        # a second compile is served from the log and builds nothing
+        second = compiler.tune("random", trial_seed=1, **options)
+        assert set(second.tlog_status.values()) == {"hit"}
+        assert envs == Counter(dict.fromkeys(expected, 1))
+        assert sum(spaces.values()) == len(expected)
+        assert second.base_latency_ms == first.base_latency_ms
+
+    def test_concurrent_callers_share_one_build(self, monkeypatch):
+        envs, _ = count_builds(monkeypatch)
+        compiler = DeploymentCompiler(three_task_model(), env_seed=5)
+        spec = compiler.tasks[0]
+        callers = (os.cpu_count() or 1) + 4
+        barrier = threading.Barrier(callers)
+        got = []
+
+        def call():
+            barrier.wait(timeout=10.0)
+            got.append(compiler.simulated_task(spec))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(callers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == callers
+        assert all(task is got[0] for task in got)
+        assert sum(envs.values()) == 1
+
+    def test_key_is_the_device_not_its_name(self):
+        compiler = DeploymentCompiler(three_task_model(), env_seed=5)
+        spec = compiler.tasks[0]
+        slower = dataclasses.replace(
+            GTX_1080_TI,
+            peak_gflops=GTX_1080_TI.peak_gflops / 4,
+            mem_bandwidth_gbs=GTX_1080_TI.mem_bandwidth_gbs / 4,
+        )
+        assert slower.name == GTX_1080_TI.name
+        fast = compiler.simulated_task(spec, device=GTX_1080_TI)
+        slow = compiler.simulated_task(spec, device=slower)
+        assert slow is not fast
+        assert slow.device is slower
+        assert compiler.simulated_task(spec) is fast
+        idx = int(fast.space.sample(1, seed=0)[0])
+        assert slow.true_gflops(idx) != fast.true_gflops(idx)
 
 
 class TestLatencyMeasurement:

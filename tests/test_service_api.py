@@ -7,18 +7,29 @@ fleet run → poll must equal a direct serial
 :meth:`~repro.pipeline.compiler.DeploymentCompiler.tune` with the same
 spec, byte for byte.  Around that sit the API behaviours: progress
 streaming, the best-curve feed, fleet utilization, the dashboard, the
-structured 400/404/409/429 rejections, and tuning-log reuse on a
-repeat submit.
+structured 400/404/409/429 rejections, tuning-log reuse on a
+repeat submit, and the runner: it wakes on submit, stops promptly,
+backs off after a failed claim, and reports itself to the health
+check (a 503 once its thread has died).
 """
 
 import json
 import sqlite3
 import threading
+import time
 import urllib.request
 
 import pytest
 
-from repro.service import ServiceClient, ServiceClientError, TuningService
+from repro.service import (
+    JobQueue,
+    JobRunner,
+    JobSpec,
+    JobStore,
+    ServiceClient,
+    ServiceClientError,
+    TuningService,
+)
 
 #: the verified fast recipe: ~0.6 s per job on two simulated devices
 SPEC = {
@@ -290,6 +301,209 @@ class TestRunnerSupervision:
             job = client.submit(**SPEC)
             done = client.wait(job["job_id"], timeout_s=60.0)
         assert done["state"] == "done"
+
+    def test_failed_claim_backs_off_even_when_a_job_arrives(self, tmp_path):
+        back_off_s = 0.5
+        store = JobStore(tmp_path / "jobs.sqlite")
+        queue = JobQueue(store)
+        runner = JobRunner(store, queue, tmp_path, poll_interval_s=back_off_s)
+        runner._execute = lambda job, resume: None
+        claim_next = queue.claim_next
+        claims = []
+        failed = threading.Event()
+
+        def claim_failing_once():
+            claims.append(time.monotonic())
+            if not failed.is_set():
+                failed.set()
+                raise sqlite3.OperationalError("database is locked")
+            return claim_next()
+
+        queue.claim_next = claim_failing_once
+        try:
+            runner.start()
+            assert failed.wait(timeout=10.0)
+            queue.submit(JobSpec(model="alexnet", arm="bted"))
+            deadline = time.monotonic() + 10.0
+            while store.counts_by_state().get("done", 0) < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            runner.stop(timeout=10.0)
+            store.close()
+        assert claims[1] - claims[0] >= 0.9 * back_off_s
+
+
+#: a runner poll interval no test may wait out
+LONG_POLL_S = 30.0
+
+
+def watch_idle(queue):
+    """An event set whenever ``queue.claim_next`` finds nothing to run."""
+    idle = threading.Event()
+    claim_next = queue.claim_next
+
+    def watched_claim():
+        job = claim_next()
+        if job is None:
+            idle.set()
+        return job
+
+    queue.claim_next = watched_claim
+    return idle
+
+
+def idle_service(data_dir, **kwargs):
+    """An unstarted service whose runner polls every ``LONG_POLL_S``."""
+    svc = TuningService(data_dir, port=0, devices=DEVICES, **kwargs)
+    svc.runner.poll_interval_s = LONG_POLL_S
+    return svc, watch_idle(svc.queue)
+
+
+class TestWakeOnSubmit:
+    def test_idle_runner_starts_a_submitted_job_at_once(self, tmp_path):
+        svc, idle = idle_service(tmp_path / "wake")
+        with svc:
+            assert idle.wait(timeout=10.0)
+            client = ServiceClient(svc.url, timeout_s=10.0)
+            start = time.monotonic()
+            job = client.submit(**SPEC)
+            done = client.wait(job["job_id"], timeout_s=10.0, poll_s=0.05)
+            elapsed = time.monotonic() - start
+        assert done["state"] == "done"
+        assert elapsed < 5.0
+        # the claim followed the submit, not the poll interval
+        assert done["started_s"] - done["created_s"] < 2.0
+
+
+class TestStopWakesTheRunner:
+    def test_runner_stop_returns_at_once(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.sqlite")
+        queue = JobQueue(store)
+        runner = JobRunner(
+            store, queue, tmp_path, poll_interval_s=LONG_POLL_S
+        )
+        idle = watch_idle(queue)
+        try:
+            runner.start()
+            assert idle.wait(timeout=10.0)
+            start = time.monotonic()
+            runner.stop(timeout=2 * LONG_POLL_S)
+            elapsed = time.monotonic() - start
+            assert elapsed < 1.0
+            assert runner.health()["state"] == "stopped"
+        finally:
+            runner.stop(timeout=2 * LONG_POLL_S)
+            store.close()
+
+    def test_stop_cuts_a_claim_back_off_short(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.sqlite")
+        queue = JobQueue(store)
+        runner = JobRunner(
+            store, queue, tmp_path, poll_interval_s=LONG_POLL_S
+        )
+        failed = threading.Event()
+
+        def failing_claim():
+            failed.set()
+            raise sqlite3.OperationalError("database is locked")
+
+        queue.claim_next = failing_claim
+        try:
+            runner.start()
+            assert failed.wait(timeout=10.0)
+            start = time.monotonic()
+            runner.stop(timeout=2 * LONG_POLL_S)
+            assert time.monotonic() - start < 1.0
+            assert runner.health()["state"] == "stopped"
+        finally:
+            runner.stop(timeout=2 * LONG_POLL_S)
+            store.close()
+
+    def test_service_stop_returns_at_once(self, tmp_path):
+        svc, idle = idle_service(tmp_path / "stop")
+        svc.start()
+        try:
+            assert idle.wait(timeout=10.0)
+        finally:
+            start = time.monotonic()
+            svc.stop()
+            elapsed = time.monotonic() - start
+        # the HTTP loop checks for shutdown every 0.5 s; the runner
+        # used to add up to its whole poll interval on top
+        assert elapsed < 2.0
+
+
+class TestHealth:
+    def test_live_runner_reports_itself(self, client):
+        deadline = time.monotonic() + 10.0
+        body = client.health()
+        while body["runner"]["last_claim_age_s"] is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+            body = client.health()
+        assert body["status"] == "ok"
+        runner = body["runner"]
+        assert runner["state"] == "running"
+        assert runner["alive"] is True
+        assert "current_job" in runner
+        assert runner["last_claim_age_s"] >= 0
+        assert "error" not in body
+        assert "counts" in body
+
+    def test_disabled_runner_is_a_200(self, tmp_path):
+        svc = TuningService(
+            tmp_path / "parked", port=0, devices=DEVICES,
+            start_runner=False,
+        )
+        with svc:
+            body = ServiceClient(svc.url, timeout_s=10.0).health()
+        assert body["status"] == "ok"
+        assert body["runner"] == {
+            "state": "disabled",
+            "alive": False,
+            "current_job": None,
+            "last_claim_age_s": None,
+        }
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_dead_runner_is_a_503(self, tmp_path):
+        svc = TuningService(tmp_path / "dying", port=0, devices=DEVICES)
+        transition = svc.store.transition
+
+        def execute(job, resume):
+            raise RuntimeError("tuning blew up")
+
+        def transition_failing_on_failed(job_id, state, **kwargs):
+            # settling the failed job raises inside _run_job's own
+            # except clause, which ends the runner thread
+            if state == "failed":
+                raise sqlite3.OperationalError("disk I/O error")
+            return transition(job_id, state, **kwargs)
+
+        svc.runner._execute = execute
+        svc.store.transition = transition_failing_on_failed
+        with svc:
+            client = ServiceClient(svc.url, timeout_s=10.0)
+            client.submit(**SPEC)
+            deadline = time.monotonic() + 10.0
+            while svc.runner.health()["state"] != "dead":
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.health()
+        assert excinfo.value.status == 503
+        assert excinfo.value.code == "runner_dead"
+        body = excinfo.value.body
+        assert body["status"] == "unavailable"
+        assert body["runner"]["state"] == "dead"
+        assert body["runner"]["alive"] is False
+        assert body["runner"]["last_claim_age_s"] >= 0
+        # the job the runner died on is stranded in running
+        assert body["counts"]["running"] == 1
+        assert "will not run" in body["error"]["message"]
 
 
 class TestAdmissionOverHTTP:

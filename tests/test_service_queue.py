@@ -5,9 +5,14 @@ job store.  These tests pin the two satellite contracts: an over-quota
 submit is rejected with a structured error body (tenant, limit, active
 count), and a higher-priority job submitted *later* is dequeued first
 — deterministic because the service drains with a single runner.
+Every admitted job also wakes that runner, and no wake-up is lost.
 """
 
+import os
+import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -15,6 +20,7 @@ from repro.service import (
     DEFAULT_QUOTA,
     InvalidTransitionError,
     JobQueue,
+    JobRunner,
     JobSpec,
     JobStore,
     QuotaExceededError,
@@ -188,3 +194,100 @@ class TestCancel:
             queue.submit(_spec(tenant="acme"))
         queue.cancel(job.job_id)
         queue.submit(_spec(tenant="acme"))
+
+
+class TestWakeUp:
+    """Every admitted job wakes an idle runner; none is lost."""
+
+    def test_submit_raises_the_wakeup_after_the_row_commits(self, store):
+        queue = JobQueue(store)
+        raised_during_insert = []
+        insert = store.submit
+
+        def submit(spec):
+            job = insert(spec)
+            raised_during_insert.append(queue.wakeup.is_set())
+            return job
+
+        store.submit = submit
+        assert not queue.wakeup.is_set()
+        queue.submit(_spec())
+        assert raised_during_insert == [False]
+        assert queue.wakeup.is_set()
+
+    def test_rejected_submit_does_not_wake(self, store):
+        queue = JobQueue(store, quotas={"capped": 0})
+        with pytest.raises(QuotaExceededError):
+            queue.submit(_spec(tenant="capped"))
+        assert not queue.wakeup.is_set()
+
+    def test_no_wakeup_is_lost_under_thread_pressure(self, store, tmp_path):
+        """Rounds of simultaneous submits, frequent thread switches.
+
+        The runner only claims and settles (``_execute`` is a no-op),
+        so it goes idle between rounds and often within one, and it
+        lingers after every empty claim.  Its poll interval is 60 s: a
+        wake-up lost between its claim and its wait strands the round's
+        last job for a minute and misses the round's deadline.
+        """
+        poll_s, round_deadline_s, rounds = 60.0, 5.0, 50
+        queue = JobQueue(store, default_quota=10_000)
+        runner = JobRunner(store, queue, tmp_path, poll_interval_s=poll_s)
+        runner._execute = lambda job, resume: None
+        claim_next = queue.claim_next
+
+        def claim_then_linger():
+            # widen the gap between the runner's look at the queue and
+            # its wait, where a submit's wake-up could fall through
+            job = claim_next()
+            if job is None:
+                time.sleep(0.005)
+            return job
+
+        queue.claim_next = claim_then_linger
+        submitters = (os.cpu_count() or 1) + 2
+        go = threading.Barrier(submitters + 1)
+        errors = []
+
+        def submit_each_round(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(rounds):
+                    go.wait(timeout=2 * round_deadline_s)
+                    time.sleep(rng.uniform(0.0, 0.001))
+                    queue.submit(_spec(tenant=f"t{seed}"))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=submit_each_round, args=(seed,))
+            for seed in range(submitters)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        runner.start()
+        try:
+            for thread in threads:
+                thread.start()
+            for done_round in range(1, rounds + 1):
+                go.wait(timeout=round_deadline_s)
+                start = time.monotonic()
+                while (
+                    store.counts_by_state().get("done", 0)
+                    < done_round * submitters
+                ):
+                    assert errors == []
+                    assert time.monotonic() - start < round_deadline_s, (
+                        done_round, store.counts_by_state()
+                    )
+                    time.sleep(0.001)
+        finally:
+            sys.setswitchinterval(interval)
+            go.abort()
+            for thread in threads:
+                thread.join(timeout=round_deadline_s)
+            runner.stop(timeout=2 * poll_s)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.counts_by_state() == {"done": rounds * submitters}
+        assert runner.health()["state"] == "stopped"

@@ -1,11 +1,21 @@
 """Tests for repro.space.space: addressing, features, sampling."""
 
+import json
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.space.knobs import BoolKnob, OtherKnob, SplitKnob
+from repro.nn.zoo import MODEL_BUILDERS, build_model
+from repro.pipeline.tasks import extract_tasks
+from repro.space.knobs import BoolKnob, OtherKnob, ReorderKnob, SplitKnob
 from repro.space.space import ConfigSpace
+from repro.space.templates import build_space
+
+#: content hash of every zoo task's space, winograd tasks included
+SPACE_HASHES = Path(__file__).parent / "golden" / "space-hashes.json"
 
 
 def make_space() -> ConfigSpace:
@@ -152,6 +162,77 @@ class TestFeatures:
         matrix = space.feature_matrix(list(range(len(space))))
         unique_rows = np.unique(matrix, axis=0)
         assert len(unique_rows) == len(space)
+
+
+def zoo_spaces():
+    """``(key, space)`` for every task of every zoo model, winograd too."""
+    for name in MODEL_BUILDERS:
+        for spec in extract_tasks(build_model(name), include_winograd=True):
+            key = f"{name}/T{spec.task_id + 1}/{spec.template}"
+            yield key, build_space(spec.workload, spec.template)
+
+
+def stacked_tables(space):
+    """The per-candidate oracle: one ``knob.features(i)`` call per row."""
+    return [
+        np.stack([knob.features(i) for i in range(len(knob))])
+        for knob in space.knobs
+    ]
+
+
+class TestFeatureTables:
+    """``add_knob`` takes each knob's whole table in one call."""
+
+    def test_zoo_tables_equal_the_per_candidate_stack(self):
+        checked = 0
+        for key, space in zoo_spaces():
+            for knob, table, oracle in zip(
+                space.knobs, space._feature_tables, stacked_tables(space)
+            ):
+                assert table.dtype == oracle.dtype, key
+                assert table.shape == oracle.shape, key
+                assert np.array_equal(table, oracle), (key, knob.name)
+                # the space owns its table: writing to it cannot reach
+                # the knob
+                assert not np.shares_memory(table, knob.feature_table())
+            # and a pickled space (checkpoints hold one) is the same
+            # bytes as a space built from the stacked tables
+            reference = ConfigSpace.__new__(ConfigSpace)
+            reference.__dict__.update(space.__dict__)
+            reference._feature_tables = stacked_tables(space)
+            assert pickle.dumps(space) == pickle.dumps(reference), key
+            checked += 1
+        assert checked == sum(
+            len(extract_tasks(build_model(name), include_winograd=True))
+            for name in MODEL_BUILDERS
+        )
+
+    def test_zoo_content_hashes_match_the_fixture(self, update_golden):
+        hashes = {key: space.content_hash() for key, space in zoo_spaces()}
+        assert any(key.endswith("/winograd") for key in hashes)
+        if update_golden:
+            SPACE_HASHES.write_text(
+                json.dumps(hashes, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+            pytest.skip(f"updated golden fixture {SPACE_HASHES.name}")
+        assert hashes == json.loads(SPACE_HASHES.read_text(encoding="utf-8"))
+
+    def test_reorder_knob_table(self):
+        knob = ReorderKnob("order", ["a", "b", "c"])
+        space = ConfigSpace("reorder")
+        space.add_knob(knob)
+        oracle = np.stack([knob.features(i) for i in range(len(knob))])
+        assert np.array_equal(space._feature_tables[0], oracle)
+        assert np.array_equal(knob.feature_table(), oracle)
+
+    def test_pickle_leaves_out_the_cached_hash(self):
+        fresh = pickle.dumps(make_space())
+        hashed = make_space()
+        digest = hashed.content_hash()
+        assert pickle.dumps(hashed) == fresh
+        assert hashed.content_hash() == digest  # the live cache stays
+        assert pickle.loads(fresh).content_hash() == digest
 
 
 class TestSampling:
