@@ -1,9 +1,11 @@
 """Bootstrap-guided adaptive optimization — Algorithm 4 of the paper.
 
 Each iteration restricts the search to ``C_t``, the neighborhood of the
-incumbent configuration with radius ``R`` (Euclidean in knob-index
-coordinates), selects the next configuration with Bootstrap-guided
-sampling (Alg. 3), measures it, and adapts: when the relative
+incumbent configuration with radius ``R`` (Euclidean distance between
+config feature vectors by default, or between knob indices with
+``metric="index"``; see :mod:`repro.space.neighborhood`), selects the
+next configuration with Bootstrap-guided sampling (Alg. 3), measures
+it, and adapts: when the relative
 improvement between the two previous steps,
 
     r_t = (y*_{t-1} - y*_{t-2}) / y*_{t-1},          (Eq. 1)
@@ -53,7 +55,9 @@ class BaoSettings:
     gamma: int = 2
     #: radius widening factor tau (> 1)
     tau: float = 1.5
-    #: base neighborhood radius R (Euclidean distance in knob indices)
+    #: base neighborhood radius R, a Euclidean distance in the chosen
+    #: ``metric``: between config feature vectors (the default) or
+    #: between knob indices
     radius: float = 3.0
     #: how many neighborhood configs to score per step
     neighborhood_size: int = 512

@@ -19,8 +19,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.learning.gbt import GradientBoostedTrees
-from repro.learning.tree import apply_bins, bin_features
+from repro.learning.gbt import GradientBoostedTrees, boost_rounds
+from repro.learning.tree import apply_bins, bin_features, check_sample_weight
 from repro.obs.hooks import notify_refit, refit_hooks_active
 from repro.utils.rng import SeedLike, as_generator
 
@@ -142,18 +142,22 @@ class BootstrapEnsemble:
         transfer-learning path discounts history rows this way.  With
         ``sample_weight=None`` the fit is bit-identical to the
         historical unweighted behaviour.
+
+        With the default factory, every member's resample and subsample
+        rows are drawn up front, in the order member-by-member fits
+        would draw them, and round ``r`` of all members grows in one
+        histogram pass (:func:`~repro.learning.gbt.boost_rounds`).  A
+        custom factory's members are fit one after another.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ValueError("X must be (n, d) and y (n,)")
-        if sample_weight is not None:
-            sample_weight = np.asarray(sample_weight, dtype=np.float64)
-            if sample_weight.shape != y.shape:
-                raise ValueError("sample_weight must match y in length")
         n = len(y)
         if n == 0:
             raise ValueError("cannot fit on an empty measured set")
+        if sample_weight is not None:
+            sample_weight = check_sample_weight(sample_weight, n)
         # observability hook: only pay for the clock when someone listens
         timed = refit_hooks_active()
         start = time.perf_counter() if timed else 0.0
@@ -166,6 +170,7 @@ class BootstrapEnsemble:
             return self
         self._models = []
         shared_edges: Optional[list] = None
+        states = []
         for _ in range(self.gamma):
             rows = self._rng.integers(0, n, size=n)
             model = self._factory()
@@ -174,14 +179,30 @@ class BootstrapEnsemble:
                 if shared_edges is None:
                     shared_edges = bin_features(X, n_bins=model.n_bins)[1]
                 model.bin_edges = shared_edges
-            if sample_weight is None:
+            if self._lockstep:
+                weight = None if sample_weight is None else sample_weight[rows]
+                states.append(model.start_fit(X[rows], y[rows], weight))
+            elif sample_weight is None:
                 model.fit(X[rows], y[rows])
             else:
                 model.fit(X[rows], y[rows], sample_weight=sample_weight[rows])
             self._models.append(model)
+        if states:
+            boost_rounds(states, self._models[0].n_estimators)
         if timed:
             notify_refit(n, time.perf_counter() - start, "ensemble")
         return self
+
+    @property
+    def _lockstep(self) -> bool:
+        """Whether members grow their rounds together in :meth:`fit`.
+
+        True for the default factory: its members' row draws do not
+        depend on the data, so they can all be drawn up front.  A
+        custom factory may return any learner, so its members are fit
+        one after another.
+        """
+        return type(self._factory) is _DefaultModelFactory
 
     def _can_fit_incrementally(self) -> bool:
         """True when this :meth:`fit` call may take the warm-start path."""
@@ -204,18 +225,24 @@ class BootstrapEnsemble:
         n: int,
     ) -> None:
         """Warm-started refit: new bootstrap rounds atop the kept trees."""
+        states = []
         for model in self._models:
             rows = self._rng.integers(0, n, size=n)
             self.reused_trees_total += model.n_trees
-            if sample_weight is None:
+            weight = None if sample_weight is None else sample_weight[rows]
+            if self._lockstep:
+                states.append(model.start_fit_more(
+                    X[rows], y[rows], self.incremental_rounds, weight
+                ))
+            elif weight is None:
                 model.fit_more(X[rows], y[rows], self.incremental_rounds)
             else:
                 model.fit_more(
-                    X[rows],
-                    y[rows],
-                    self.incremental_rounds,
-                    sample_weight=sample_weight[rows],
+                    X[rows], y[rows], self.incremental_rounds,
+                    sample_weight=weight,
                 )
+        if states:
+            boost_rounds(states, self.incremental_rounds)
 
     def _common_edges(self) -> Optional[list]:
         """The bin-edge list shared by *all* members, else ``None``.

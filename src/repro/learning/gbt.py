@@ -18,7 +18,8 @@ Two tree back-ends are available:
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from repro.learning.tree import (
     RegressionTree,
     apply_bins,
     bin_features,
+    check_sample_weight,
+    grow_binned,
     predict_stacked,
     stack_trees,
 )
@@ -119,80 +122,51 @@ class GradientBoostedTrees:
         sample_weight: Optional[np.ndarray] = None,
     ) -> "GradientBoostedTrees":
         """Fit the ensemble; returns ``self``."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("X must be (n, d) and y (n,)")
-        n = X.shape[0]
-        if n == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if sample_weight is None:
-            weight = np.ones(n)
-        else:
-            weight = np.asarray(sample_weight, dtype=np.float64)
-            if weight.shape != y.shape:
-                raise ValueError("sample_weight must match y")
+        boost_rounds([self.start_fit(X, y, sample_weight)], self.n_estimators)
+        return self
 
+    def start_fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        sample_weight: Optional[np.ndarray] = None,
+    ) -> "BoostState":
+        """Validate and bin ``(X, y)``, reset the model, and return its state.
+
+        :func:`boost_rounds` then grows the ``n_estimators`` rounds.
+        Where no draw depends on the data (histogram trees, no early
+        stopping), every round's subsample is drawn now, in round
+        order, so several models' rounds can grow together.
+        """
+        X, y, weight = _check_data(X, y, sample_weight)
+        n = len(y)
         if self.method == "hist":
             if self.bin_edges is not None:
                 self._edges = self.bin_edges
-                codes = apply_bins(X, self._edges)
+                data: np.ndarray = apply_bins(X, self._edges)
             else:
-                codes, self._edges = bin_features(X, n_bins=self.n_bins)
-            data: np.ndarray = codes
+                data, self._edges = bin_features(X, n_bins=self.n_bins)
         else:
             self._edges = None
             data = X
 
-        use_validation = self.early_stopping_rounds is not None and n >= 20
-        if use_validation:
+        val_idx = None
+        if self.early_stopping_rounds is not None and n >= 20:
             perm = self._rng.permutation(n)
             n_val = max(1, int(round(self.validation_fraction * n)))
             val_idx = perm[:n_val]
             train_idx = perm[n_val:]
-        else:
-            train_idx = np.arange(n)
-            val_idx = np.empty(0, dtype=np.int64)
+            Dv, yv = data[val_idx], y[val_idx]
+            data, y, weight = data[train_idx], y[train_idx], weight[train_idx]
 
-        Dt, yt, wt = data[train_idx], y[train_idx], weight[train_idx]
-        Dv, yv = data[val_idx], y[val_idx]
-
-        self._base = float(np.dot(wt, yt) / wt.sum())
+        self._base = float(np.dot(weight, y) / weight.sum())
         self._trees = []
-        pred_t = np.full(len(yt), self._base)
-        pred_v = np.full(len(yv), self._base)
-
-        best_val = np.inf
-        best_len = 0
-        rounds_since_best = 0
-
-        for _ in range(self.n_estimators):
-            residual = yt - pred_t
-            if self.subsample < 1.0 and len(yt) > 4:
-                n_sub = max(2, int(round(self.subsample * len(yt))))
-                rows = self._rng.choice(len(yt), size=n_sub, replace=False)
-            else:
-                rows = np.arange(len(yt))
-            tree = self._new_tree()
-            tree.fit(Dt[rows], residual[rows], sample_weight=wt[rows])
-            self._trees.append(tree)
-            pred_t += self.learning_rate * tree.predict(Dt)
-
-            if use_validation:
-                pred_v += self.learning_rate * tree.predict(Dv)
-                val_err = float(np.mean((yv - pred_v) ** 2))
-                if val_err < best_val - 1e-12:
-                    best_val = val_err
-                    best_len = len(self._trees)
-                    rounds_since_best = 0
-                else:
-                    rounds_since_best += 1
-                    if rounds_since_best >= self.early_stopping_rounds:
-                        self._trees = self._trees[:best_len]
-                        break
         self._fitted = True
         self._stack = None
-        return self
+        pred = np.full(len(y), self._base)
+        stop = None if val_idx is None else _EarlyStopping(self, Dv, yv)
+        rows = self._row_draws(len(y), self.n_estimators, ahead=stop is None)
+        return BoostState(self, data, y, weight, pred, rows, stop=stop)
 
     def fit_more(
         self,
@@ -209,47 +183,51 @@ class GradientBoostedTrees:
         ensemble on the given data.  Validation early stopping does not
         apply to the incremental rounds.  Returns ``self``.
         """
+        state = self.start_fit_more(X, y, n_rounds, sample_weight)
+        boost_rounds([state], n_rounds)
+        return self
+
+    def start_fit_more(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        n_rounds: int,
+        sample_weight: Optional[np.ndarray] = None,
+    ) -> "BoostState":
+        """The :meth:`fit_more` counterpart of :meth:`start_fit`."""
         if not self._fitted:
             raise RuntimeError("fit_more requires a fitted model")
         if n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or y.shape != (X.shape[0],):
-            raise ValueError("X must be (n, d) and y (n,)")
-        n = X.shape[0]
-        if n == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if sample_weight is None:
-            weight = np.ones(n)
-        else:
-            weight = np.asarray(sample_weight, dtype=np.float64)
-            if weight.shape != y.shape:
-                raise ValueError("sample_weight must match y")
-
+        X, y, weight = _check_data(X, y, sample_weight)
         if self.method == "hist":
             assert self._edges is not None
             data: np.ndarray = apply_bins(X, self._edges)
         else:
             data = X
-
         reused = len(self._trees)
-        pred_t = self._accumulate(data, n)
-        for _ in range(n_rounds):
-            residual = y - pred_t
+        pred = self._accumulate(data, len(y))
+        rows = self._row_draws(len(y), n_rounds)
+        return BoostState(self, data, y, weight, pred, rows, reused=reused)
+
+    def _row_draws(
+        self, n: int, n_rounds: int, ahead: bool = True
+    ) -> Iterator[np.ndarray]:
+        """Each round's subsample of ``n`` rows (all rows for tiny data).
+
+        Drawn now when ``ahead`` and the trees are histogram trees
+        (exact trees draw features between rounds), else as the round
+        loop asks for them.
+        """
+
+        def draw() -> np.ndarray:
             if self.subsample < 1.0 and n > 4:
                 n_sub = max(2, int(round(self.subsample * n)))
-                rows = self._rng.choice(n, size=n_sub, replace=False)
-            else:
-                rows = np.arange(n)
-            tree = self._new_tree()
-            tree.fit(data[rows], residual[rows], sample_weight=weight[rows])
-            self._trees.append(tree)
-            pred_t += self.learning_rate * tree.predict(data)
-        self._stack = None
-        if refit_reuse_hooks_active():
-            notify_refit_reuse(reused)
-        return self
+                return self._rng.choice(n, size=n_sub, replace=False)
+            return np.arange(n)
+
+        draws = (draw() for _ in range(n_rounds))
+        return iter(list(draws)) if ahead and self.method == "hist" else draws
 
     def _accumulate(self, data: np.ndarray, n: int) -> np.ndarray:
         """Sum tree predictions over native ``data`` (codes or floats).
@@ -302,3 +280,120 @@ class GradientBoostedTrees:
     @property
     def n_trees(self) -> int:
         return len(self._trees)
+
+
+def _check_data(
+    X: np.ndarray, y: np.ndarray, sample_weight: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, y, weight)`` as float64 arrays, or ``ValueError``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError("X must be (n, d) and y (n,)")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    return X, y, check_sample_weight(sample_weight, len(y))
+
+
+class _EarlyStopping:
+    """Validation early stopping for one model's rounds."""
+
+    def __init__(self, model: GradientBoostedTrees, data, y):
+        self.model = model
+        self.data = data
+        self.y = y
+        self.pred = np.full(len(y), model._base)
+        self.best = np.inf
+        self.best_len = 0
+        self.since_best = 0
+
+    def __call__(self, tree: _Tree) -> bool:
+        """Score the newest round; True (after truncating) to stop."""
+        model = self.model
+        self.pred += model.learning_rate * tree.predict(self.data)
+        err = float(np.mean((self.y - self.pred) ** 2))
+        if err < self.best - 1e-12:
+            self.best = err
+            self.best_len = len(model._trees)
+            self.since_best = 0
+            return False
+        self.since_best += 1
+        if self.since_best < model.early_stopping_rounds:
+            return False
+        model._trees = model._trees[: self.best_len]
+        return True
+
+
+@dataclass
+class BoostState:
+    """One model's rows and running prediction, for :func:`boost_rounds`.
+
+    Made by :meth:`GradientBoostedTrees.start_fit` or
+    :meth:`~GradientBoostedTrees.start_fit_more`.
+    """
+
+    model: GradientBoostedTrees
+    #: native rows: bin codes (``method="hist"``) or floats
+    data: np.ndarray
+    y: np.ndarray
+    weight: np.ndarray
+    #: the model's current prediction of every row
+    pred: np.ndarray
+    #: each round's subsample rows
+    rows: Iterator[np.ndarray]
+    stop: Optional[_EarlyStopping] = None
+    #: trees kept from before a warm start (``None``: a fresh fit)
+    reused: Optional[int] = None
+
+
+def boost_rounds(states: Sequence[BoostState], n_rounds: int) -> None:
+    """The one boosting loop: grow ``n_rounds`` rounds on every model.
+
+    Round ``r`` of every model fits a tree to its residual on that
+    round's subsample and adds the shrunken tree prediction of every
+    row.  Histogram models grow round ``r`` together in one
+    :func:`~repro.learning.tree.grow_binned` pass that also routes the
+    rows outside the subsample, so no per-round ``predict`` is needed.
+    Several models must be histogram models with equal settings and
+    no early stopping, whose rows were drawn ahead (see
+    :meth:`GradientBoostedTrees.start_fit`); a lone model may draw as
+    it goes, which exact trees and early stopping need.
+    """
+    first = states[0].model
+    if len(states) > 1 and any(
+        s.model.method != "hist"
+        or s.stop is not None
+        or s.model.learning_rate != first.learning_rate
+        for s in states
+    ):
+        raise ValueError(
+            "models boosted together must be histogram models with one "
+            "learning rate and no early stopping"
+        )
+    data = np.concatenate([s.data for s in states])
+    y = np.concatenate([s.y for s in states])
+    weight = np.concatenate([s.weight for s in states])
+    pred = np.concatenate([s.pred for s in states])
+    bounds = np.cumsum([0] + [len(s.y) for s in states])
+    stop = states[0].stop
+    for _ in range(n_rounds):
+        residual = y - pred
+        rows = [lo + next(s.rows) for lo, s in zip(bounds, states)]
+        trees = [s.model._new_tree() for s in states]
+        if first.method == "hist":
+            out = grow_binned(
+                trees, data, residual, weight, bounds, np.concatenate(rows)
+            )
+        else:
+            tree, sub = trees[0], rows[0]
+            tree.fit(data[sub], residual[sub], sample_weight=weight[sub])
+            out = tree.predict(data)
+        pred += first.learning_rate * out
+        for s, tree in zip(states, trees):
+            s.model._trees.append(tree)
+        if stop is not None and stop(trees[0]):
+            break
+    for s in states:
+        s.model._stack = None
+        if s.reused is not None and refit_reuse_hooks_active():
+            notify_refit_reuse(s.reused)

@@ -119,9 +119,16 @@ def sample_neighborhood(
 
     Deterministic given ``seed``.  The single-step lattice neighbors
     are always included (they anchor the local search even when the
-    radius rejects most random proposals); random redraws of one to
-    three knobs fill the remainder, filtered by the chosen metric.  The
-    center is never returned.
+    radius rejects most random proposals); random redraws fill the
+    remainder, filtered by the chosen metric.  A proposal picks each
+    knob independently with probability ``2 / n_knobs`` (about two
+    knobs; every knob when there are two or fewer), picks one knob
+    uniformly when that picked none, and redraws each picked knob
+    uniformly over its candidates.  The center is never returned.
+
+    Both metrics separate by knob, so a proposal's squared distance is
+    the sum of one table entry per knob: each knob's candidates'
+    squared distances to the center's candidate, built once per call.
     """
     if metric not in ("feature", "index"):
         raise ValueError("metric must be 'feature' or 'index'")
@@ -132,7 +139,6 @@ def sample_neighborhood(
     sizes = np.asarray(space.knob_sizes, dtype=np.int64)
     n_knobs = len(sizes)
     r2 = radius * radius
-    center_feat = space.features_of(center)
 
     chosen: dict[int, None] = {}
 
@@ -142,12 +148,23 @@ def sample_neighborhood(
     )
     lattice = center_digits[None, :] + steps
     in_range = np.all((lattice >= 0) & (lattice < sizes[None, :]), axis=1)
-    for idx in space.encode_batch(lattice[in_range]):
-        chosen.setdefault(int(idx), None)
-        if len(chosen) >= max_points:
-            return np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+    steps_taken = space.encode_batch(lattice[in_range])
+    chosen.update(dict.fromkeys(steps_taken.tolist()))
 
-    # random fill: redraw 1-3 knobs, rejection-test against the ball
+    # the per-knob tables, end to end: candidate j of knob k sits at
+    # offsets[k] + j
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    table = np.concatenate([
+        _squared_distances(space, k, int(c), metric)
+        for k, c in enumerate(center_digits)
+    ])
+    # a table sum adds a row's squares in another order than one
+    # einsum over the row; rows this close to r2 take the einsum, so
+    # every accept/reject decision is the einsum's
+    band = 1e-9 * r2
+    center_row = center_digits[None, :]
+
+    # random fill: redraw ~2 knobs, rejection-test against the ball
     attempts = 0
     max_attempts = 200 * max_points
     while len(chosen) < max_points and attempts < max_attempts:
@@ -160,21 +177,43 @@ def sample_neighborhood(
             forced = rng.integers(0, n_knobs, size=int(none_selected.sum()))
             mutate[np.nonzero(none_selected)[0], forced] = True
         redraws = rng.integers(0, sizes[None, :], size=(batch, n_knobs))
-        candidates = np.where(mutate, redraws, center_digits[None, :])
-        changed = np.any(candidates != center_digits[None, :], axis=1)
+        candidates = np.where(mutate, redraws, center_row)
 
-        if metric == "feature":
-            feats = space.features_from_digits(candidates)
-            delta = feats - center_feat[None, :]
-            norms = np.einsum("ij,ij->i", delta, delta)
-        else:
-            offs = (candidates - center_digits[None, :]).astype(np.float64)
-            norms = np.einsum("ij,ij->i", offs, offs)
-        valid = changed & (norms <= r2)
-        if not valid.any():
+        norms = table[candidates + offsets].sum(axis=1)
+        near = np.abs(norms - r2) <= band
+        if near.any():
+            norms[near] = _einsum_norms(
+                space, candidates[near], center_row, metric
+            )
+        inside = norms <= r2
+        if not inside.any():
             continue
-        for idx in space.encode_batch(candidates[valid]):
-            chosen.setdefault(int(idx), None)
-            if len(chosen) >= max_points:
-                break
-    return np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+        hits = space.encode_batch(candidates[inside])
+        # redraws that reproduce the center are not neighbours
+        chosen.update(dict.fromkeys(hits[hits != center].tolist()))
+    count = min(len(chosen), max_points)
+    return np.fromiter(chosen, dtype=np.int64, count=count)
+
+
+def _squared_distances(
+    space: ConfigSpace, knob: int, digit: int, metric: str
+) -> np.ndarray:
+    """Squared distance of each of ``knob``'s candidates to ``digit``."""
+    if metric == "feature":
+        features = space.knobs[knob].feature_table()
+        delta = features - features[digit]
+        return np.einsum("ij,ij->i", delta, delta)
+    offs = np.arange(space.knob_sizes[knob], dtype=np.float64) - digit
+    return offs * offs
+
+
+def _einsum_norms(
+    space: ConfigSpace, candidates: np.ndarray, center: np.ndarray, metric: str
+) -> np.ndarray:
+    """Squared distances of whole candidate rows to ``center`` (one row)."""
+    if metric == "feature":
+        rows = space.features_from_digits(candidates)
+        delta = rows - space.features_from_digits(center)
+    else:
+        delta = (candidates - center).astype(np.float64)
+    return np.einsum("ij,ij->i", delta, delta)

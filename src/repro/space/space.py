@@ -243,10 +243,10 @@ class ConfigSpace:
             np.any(digits < 0) or np.any(digits >= radix[None, :])
         ):
             raise IndexError("knob index out of range")
-        out = np.zeros(len(digits), dtype=np.int64)
-        for k in range(len(self._radix) - 1, -1, -1):
-            out = out * self._radix[k] + digits[:, k]
-        return out
+        # mixed-radix place values: 1, r0, r0 * r1, ...
+        place = np.ones_like(radix)
+        np.cumprod(radix[:-1], out=place[1:])
+        return digits @ place
 
     def feature_matrix(self, indices: Sequence[int]) -> np.ndarray:
         """Stacked feature vectors, shape ``(len(indices), feature_dim)``."""

@@ -12,6 +12,7 @@ Markers (registered in ``pyproject.toml``):
   imports it, so a plain ``python -m pytest -x -q`` works anywhere.
 """
 
+import numpy as np
 import pytest
 
 from repro.hardware.measure import SimulatedTask
@@ -82,3 +83,22 @@ def small_task(small_conv_workload) -> SimulatedTask:
 @pytest.fixture
 def dense_task(dense_workload) -> SimulatedTask:
     return SimulatedTask(dense_workload, seed=7)
+
+
+@pytest.fixture(params=["negative", "nan", "inf", "all-zero"])
+def bad_weights(request):
+    """``make(n)``: per-row weights every learner's fit must reject."""
+
+    def make(n: int):
+        weights = np.ones(n)
+        if request.param == "negative":
+            weights[1] = -0.5
+        elif request.param == "nan":
+            weights[1] = np.nan
+        elif request.param == "inf":
+            weights[1] = np.inf
+        else:
+            weights[:] = 0.0
+        return weights
+
+    return make

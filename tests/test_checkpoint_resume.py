@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.core import make_tuner
+from repro.core.bootstrap import BootstrapEnsemble
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -17,6 +18,7 @@ from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.hardware.executor import build_executor
 from repro.hardware.measure import SimulatedTask
 from repro.nn.workloads import DenseWorkload
+from tests import ensemble_oracle
 
 ARM_KWARGS = {
     "random": dict(batch_size=8),
@@ -257,6 +259,41 @@ class TestCrashResume:
             ).save(path)
         _as_old_ensemble(path, share_bin_edges=refit == "incremental")
         assert TuningCheckpoint.load(path).initialized is (batches > 0)
+
+        fresh = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        resumed = fresh.resume(path)
+        assert _trace(resumed) == _trace(baseline)
+        assert resumed.best_index == baseline.best_index
+        assert resumed.best_gflops == baseline.best_gflops
+
+    @pytest.mark.parametrize("refit", ["full", "incremental"])
+    @pytest.mark.parametrize("batches", [0, 1, 5])
+    def test_checkpoint_fit_member_by_member_resumes(
+        self, tmp_path, dense_task, monkeypatch, refit, batches
+    ):
+        # a checkpoint whose BAO ensemble was fit one member at a time
+        # (the loop lockstep boosting replaced) resumes bit-identically
+        # under lockstep fits.  ``batches``: none, the initial batch, or
+        # the initial batch and four BAO batches precede the checkpoint
+        kwargs = dict(ARM_KWARGS["bted+bao"], refit=refit)
+        n_trial = 20
+        baseline = make_tuner("bted+bao", dense_task, seed=5, **kwargs).tune(
+            n_trial=n_trial, early_stopping=None
+        )
+        path = tmp_path / "member-by-member.ckpt"
+        monkeypatch.setattr(BootstrapEnsemble, "fit", ensemble_oracle.fit)
+        tuner = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        if batches:
+            _crash_after(tuner, n_batches=batches, path=path, n_trial=n_trial)
+        else:
+            tuner.snapshot(
+                n_trial=n_trial, early_stopping=None, initialized=False
+            ).save(path)
+        monkeypatch.undo()
+        ckpt = TuningCheckpoint.load(path)
+        assert ckpt.initialized is (batches > 0)
+        ensemble = pickle.loads(ckpt.payload)["tuner_state"]["bao"]._ensemble
+        assert ensemble.is_fitted is (batches > 1)
 
         fresh = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
         resumed = fresh.resume(path)

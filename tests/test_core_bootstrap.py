@@ -77,6 +77,33 @@ class TestBootstrapEnsemble:
         assert ensemble.predict_sum(X).shape == (30,)
 
 
+class TestInvalidWeights:
+    @pytest.mark.parametrize("refit", ["full", "incremental"])
+    def test_rejected_before_any_draw(self, refit, bad_weights):
+        X, y = toy_data(40)
+        ensemble = BootstrapEnsemble(gamma=2, seed=0, refit=refit)
+        ensemble.fit(X, y)
+        members = list(ensemble._models)
+        state = ensemble._rng.bit_generator.state
+        with pytest.raises(ValueError, match="weight"):
+            ensemble.fit(X, y, sample_weight=bad_weights(40))
+        # a rejected call draws nothing and leaves the fitted members
+        assert ensemble._rng.bit_generator.state == state
+        assert ensemble._models == members
+
+    def test_custom_factory_rejected_before_any_draw(self, bad_weights):
+        X, y = toy_data(40)
+        calls = []
+        ensemble = BootstrapEnsemble(
+            gamma=2, model_factory=lambda: calls.append(1), seed=0
+        )
+        state = ensemble._rng.bit_generator.state
+        with pytest.raises(ValueError, match="weight"):
+            ensemble.fit(X, y, sample_weight=bad_weights(40))
+        assert ensemble._rng.bit_generator.state == state
+        assert calls == []
+
+
 class TestBootstrapSample:
     def test_picks_argmax_region(self):
         """With a clean quadratic target the chosen candidate must be

@@ -2,12 +2,15 @@
 
 Every hot-path optimization must be either bit-identical to the
 reference implementation it replaced (vectorized tree predict against
-the per-node walk in ``tests/tree_oracle.py``, boolean-mask kernel
+the per-node walk in ``tests/tree_oracle.py``, the one-pass histogram
+grower against the single-tree level loop there, boolean-mask kernel
 bandwidth, ``np.isin`` visited filtering, ``FeatureCache``) or, where
 the arithmetic was reassociated (incremental TED against the in-place
 loop in ``tests/ted_oracle.py``), divergent only on floating-point
 near-ties.  These tests check those contracts over random inputs.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +23,11 @@ from repro.core.events import BatchMeasured, BatchProposed, EventLog
 from repro.core.ted import rbf_kernel, ted_select
 from repro.core.tuners.btedbao import BTEDBAOTuner
 from repro.hardware.measure import SimulatedTask
-from repro.learning.tree import RegressionTree
+from repro.learning.tree import (
+    BinnedRegressionTree,
+    RegressionTree,
+    grow_binned,
+)
 from repro.nn.workloads import DenseWorkload
 from repro.space.space import FeatureCache
 from repro.utils.mathx import pairwise_sq_dists
@@ -96,6 +103,51 @@ def _exact_scores(K, picks, mu):
         K = K - np.outer(kx, kx) / (kx[x] + mu)
     col_norms = np.einsum("ij,ij->j", K, K)
     return col_norms / (np.diag(K) + mu)
+
+
+class TestBinnedGrowerEquivalence:
+    @given(
+        seed=st.integers(0, 10**6),
+        sizes=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+        d=st.integers(1, 12),
+        n_bins=st.integers(2, 32),
+        max_depth=st.integers(1, 7),
+        min_samples_leaf=st.integers(0, 3),
+        weights=st.sampled_from(["unit", "positive", "some-zero"]),
+    )
+    @PROPERTY
+    def test_one_pass_matches_single_tree_fits(
+        self, seed, sizes, d, n_bins, max_depth, min_samples_leaf, weights
+    ):
+        # each member's tree equals a single-tree fit on its subsample,
+        # and the returned leaf values equal that tree's predict
+        rng = np.random.default_rng(seed)
+        bounds = np.cumsum([0] + sizes)
+        n = int(bounds[-1])
+        codes = rng.integers(0, n_bins, size=(n, d))
+        codes[:, 0] = 0  # a constant column
+        y = np.round(rng.normal(size=n), 1)
+        w = {
+            "unit": np.ones(n),
+            "positive": rng.uniform(0.1, 2.0, size=n),
+            "some-zero": rng.integers(0, 3, size=n).astype(np.float64),
+        }[weights]
+        fits = []
+        for lo, size in zip(bounds, sizes):
+            k = max(2, int(round(0.9 * size))) if size > 4 else size
+            rows = lo + rng.choice(size, size=k, replace=False)
+            w[rows[0]] = max(w[rows[0]], 1.0)  # a positive total weight
+            fits.append(rows)
+        settings_ = (n_bins, max_depth, min_samples_leaf)
+        trees = [BinnedRegressionTree(*settings_) for _ in sizes]
+        leaves = grow_binned(trees, codes, y, w, bounds, np.concatenate(fits))
+        for m, rows in enumerate(fits):
+            ref = tree_oracle.fit_binned(
+                BinnedRegressionTree(*settings_), codes[rows], y[rows], w[rows]
+            )
+            assert pickle.dumps(trees[m]) == pickle.dumps(ref)
+            mine = slice(bounds[m], bounds[m + 1])
+            assert leaves[mine].tobytes() == ref.predict(codes[mine]).tobytes()
 
 
 class TestTedFastEquivalence:

@@ -135,3 +135,30 @@ class TestValidation:
         )
         clean_rmse = rmse(X[10:, 0], model.predict(X[10:]))
         assert clean_rmse < 1.0
+
+
+class TestInvalidWeights:
+    """Negative, NaN, infinite or all-zero weights raise, never fit NaN."""
+
+    @pytest.mark.parametrize("method", ["hist", "exact"])
+    def test_fit_rejects(self, method, bad_weights):
+        X, y = friedman_like(30)
+        model = GradientBoostedTrees(n_estimators=3, method=method, seed=0)
+        with pytest.raises(ValueError, match="weight"):
+            model.fit(X, y, sample_weight=bad_weights(30))
+
+    @pytest.mark.parametrize("method", ["hist", "exact"])
+    def test_fit_more_rejects(self, method, bad_weights):
+        X, y = friedman_like(30)
+        model = GradientBoostedTrees(n_estimators=3, method=method, seed=0)
+        model.fit(X, y)
+        with pytest.raises(ValueError, match="weight"):
+            model.fit_more(X, y, 2, sample_weight=bad_weights(30))
+        assert model.n_trees == 3
+
+    def test_zero_weights_on_some_rows_still_fit(self):
+        X, y = friedman_like(30)
+        w = np.ones(30)
+        w[:10] = 0.0
+        model = GradientBoostedTrees(n_estimators=5, seed=0)
+        assert np.isfinite(model.fit(X, y, sample_weight=w).predict(X)).all()

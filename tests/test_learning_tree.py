@@ -10,6 +10,7 @@ from repro.learning.tree import (
     apply_bins,
     bin_features,
 )
+from tests import tree_oracle
 
 
 def step_data(n=200, seed=0):
@@ -109,6 +110,28 @@ class TestBinning:
         codes, _ = bin_features(X, n_bins=8)
         assert (np.diff(codes[:, 0]) >= 0).all()
 
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 200),
+        d=st.integers(1, 30),
+        n_bins=st.integers(2, 32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_per_column_quantiles(self, seed, n, d, n_bins):
+        # one quantile call over every column gives each column's own
+        # edges and codes bit for bit
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d))
+        X[:, 0] = 1.0
+        if d >= 3:
+            X[:, 2] = np.round(X[:, 1], 1)
+        codes, edges = bin_features(X, n_bins=n_bins)
+        ref_codes, ref_edges = tree_oracle.bin_features(X, n_bins=n_bins)
+        assert codes.tobytes() == ref_codes.tobytes()
+        assert len(edges) == len(ref_edges)
+        for edge, ref in zip(edges, ref_edges):
+            assert edge.dtype == ref.dtype and edge.tobytes() == ref.tobytes()
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             bin_features(np.ones(5))
@@ -193,3 +216,27 @@ class TestBinnedTree:
         pred = tree.predict(codes)
         assert pred.min() >= y.min() - 1e-9
         assert pred.max() <= y.max() + 1e-9
+
+
+class TestInvalidWeights:
+    """Negative, NaN, infinite or all-zero weights raise, never fit NaN."""
+
+    def test_exact_tree_rejects(self, bad_weights):
+        X, y = step_data(20)
+        with pytest.raises(ValueError, match="weight"):
+            RegressionTree().fit(X, y, sample_weight=bad_weights(20))
+
+    def test_binned_tree_rejects(self, bad_weights):
+        codes = np.random.default_rng(0).integers(0, 8, size=(20, 3))
+        y = np.arange(20.0)
+        with pytest.raises(ValueError, match="weight"):
+            BinnedRegressionTree(n_bins=8).fit(
+                codes, y, sample_weight=bad_weights(20)
+            )
+
+    def test_weight_length_must_match(self):
+        codes = np.zeros((5, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="sample_weight"):
+            BinnedRegressionTree(n_bins=8).fit(
+                codes, np.ones(5), sample_weight=np.ones(4)
+            )

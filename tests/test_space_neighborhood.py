@@ -12,6 +12,9 @@ from repro.space.neighborhood import (
     sample_neighborhood,
 )
 from repro.space.space import ConfigSpace
+from repro.utils.rng import derive_seed
+from tests import neighborhood_oracle
+from tests.test_space_space import zoo_spaces
 
 
 def lattice_space(sizes=(5, 5, 5)) -> ConfigSpace:
@@ -226,3 +229,68 @@ class TestSampleNeighborhood:
         sampled = sample_neighborhood(space, center, 3.0, 128, seed=4)
         assert len(sampled) > 10
         assert center not in set(sampled.tolist())
+
+
+class _TableKnob(OtherKnob):
+    """A knob whose candidates embed as the given feature rows."""
+
+    def __init__(self, name, table):
+        super().__init__(name, list(range(len(table))))
+        self._features = np.asarray(table, dtype=np.float64)
+
+    @property
+    def feature_dim(self) -> int:
+        return self._features.shape[1]
+
+
+class TestMatchesOracle:
+    """Per-knob distance tables accept exactly what the einsum accepts."""
+
+    def test_every_zoo_task(self):
+        checked = 0
+        for key, space in zoo_spaces():
+            for metric in ("feature", "index"):
+                for radius in (3.0, 4.5):
+                    seed = derive_seed(16, key, metric, radius)
+                    center = int(space.sample(1, seed=seed)[0])
+                    args = (space, center, radius, 128)
+                    got = sample_neighborhood(*args, seed=seed, metric=metric)
+                    ref = neighborhood_oracle.sample_neighborhood(
+                        *args, seed=seed, metric=metric
+                    )
+                    assert got.dtype == ref.dtype
+                    assert got.tolist() == ref.tolist(), (key, metric, radius)
+                    checked += 1
+        assert checked == 4 * 145
+
+    @pytest.mark.parametrize("metric", ["feature", "index"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bao_sized_neighbourhoods(self, small_task, metric, seed):
+        space = small_task.space
+        for center in space.sample(4, seed=seed):
+            for radius in (3.0, 4.5):
+                args = (space, int(center), radius, 512)
+                got = sample_neighborhood(*args, seed=seed, metric=metric)
+                ref = neighborhood_oracle.sample_neighborhood(
+                    *args, seed=seed, metric=metric
+                )
+                assert got.tolist() == ref.tolist()
+
+    def test_radius_on_an_attainable_distance_takes_the_einsum(self):
+        # candidate (1, 1) sits exactly on the radius for the einsum,
+        # which adds 1 + 1e-16 + 1e-16 left to right and gets 1.0; the
+        # per-knob tables add 1 + (1e-16 + 1e-16) = 1 + 2**-52 and
+        # would reject it without the recheck band
+        space = ConfigSpace("on-the-radius")
+        space.add_knob(_TableKnob("a", [[0.0], [1.0]]))
+        space.add_knob(_TableKnob("b", [[0.0, 0.0], [1e-8, 1e-8]]))
+        corner = space.encode([1, 1])
+        delta = space.feature_matrix([corner]) - space.feature_matrix([0])
+        assert np.einsum("ij,ij->i", delta, delta)[0] == 1.0
+        tables = [1.0, float(np.einsum("i,i->", delta[0, 1:], delta[0, 1:]))]
+        assert np.sum(tables) > 1.0
+
+        got = sample_neighborhood(space, 0, 1.0, 3, seed=0)
+        ref = neighborhood_oracle.sample_neighborhood(space, 0, 1.0, 3, seed=0)
+        assert got.tolist() == ref.tolist()
+        assert corner in got.tolist()
