@@ -41,7 +41,6 @@ from repro.core import (
 from repro.hardware import (
     GTX_1080_TI,
     GpuDevice,
-    MeasureCache,
     Measurer,
     SerialExecutor,
     SimulatedTask,
@@ -70,7 +69,6 @@ __all__ = [
     "TuningEvent",
     "GTX_1080_TI",
     "GpuDevice",
-    "MeasureCache",
     "Measurer",
     "SerialExecutor",
     "SimulatedTask",

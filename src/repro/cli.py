@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core import INCREMENTAL_REFIT_ARMS, TUNER_REGISTRY
 from repro.experiments.settings import ExperimentSettings
-from repro.hardware.executor import MeasureCache
 from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.nn.zoo import MODEL_BUILDERS, PAPER_MODELS, build_model
 from repro.pipeline.compiler import DeploymentCompiler
@@ -81,11 +80,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             f"in {result.num_measurements} measurements"
         )
 
-    cache = (
-        MeasureCache(path=args.measure_cache)
-        if args.measure_cache
-        else None
-    )
     faults = None
     if args.fault_rate > 0:
         faults = FaultModel(rate=args.fault_rate, seed=args.fault_seed)
@@ -116,7 +110,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         tuner_kwargs=tuner_kwargs,
         record_store=store,
         progress=progress,
-        measure_cache=cache,
         faults=faults,
         retry=retry,
         checkpoint_dir=args.checkpoint_dir,
@@ -128,9 +121,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         warm_device=args.warm_device,
         pipeline=args.pipeline,
     )
-    if cache is not None:
-        cache.save()
-        print(f"  cache    : {len(cache)} entries -> {args.measure_cache}")
     if observation is not None:
         if args.metrics_out:
             observation.write_metrics(args.metrics_out)
@@ -313,10 +303,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             num_measurements=max(128, int(1024 * args.scale)),
             num_trials=settings.num_trials,
             jobs=args.jobs,
-            measure_cache=args.measure_cache,
             checkpoint_dir=args.checkpoint_dir,
             summary_dir=args.summary,
-            fleet=args.fleet,
             **arms_kwargs,
         )
         print(result.report())
@@ -327,10 +315,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             settings=settings,
             max_tasks=args.max_tasks,
             jobs=args.jobs,
-            measure_cache=args.measure_cache,
             checkpoint_dir=args.checkpoint_dir,
             summary_dir=args.summary,
-            fleet=args.fleet,
             **arms_kwargs,
         )
         print(result.report())
@@ -349,10 +335,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             settings=settings,
             num_trials=settings.num_trials,
             jobs=args.jobs,
-            measure_cache=args.measure_cache,
             checkpoint_dir=args.checkpoint_dir,
             summary_dir=args.summary,
-            fleet=args.fleet,
         )
         print(result.report())
     elif args.which == "warmcold":
@@ -396,7 +380,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
         result = run_table1(
             settings=settings, jobs=args.jobs, summary_dir=args.summary,
-            fleet=args.fleet, **arms_kwargs,
+            **arms_kwargs,
         )
         print(result.report())
     if args.summary:
@@ -595,6 +579,32 @@ def _add_tlog_args(parser: argparse.ArgumentParser) -> None:
                              "own class), or cross (other classes only)")
 
 
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+def _unit_scale(text: str) -> float:
+    """An argparse type: a budget scale in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
+_unit_scale.__name__ = "float"  # argparse names the type in its messages
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -619,10 +629,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--arm", default="bted+bao", choices=sorted(TUNER_REGISTRY)
     )
-    p_tune.add_argument("--budget", type=int, default=256,
+    p_tune.add_argument("--budget", type=_at_least(1), default=256,
                         help="measurements per task")
     p_tune.add_argument("--early-stop", type=int, default=None)
-    p_tune.add_argument("--runs", type=int, default=600,
+    p_tune.add_argument("--runs", type=_at_least(2), default=600,
                         help="timed end-to-end runs")
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--env-seed", type=int, default=2021)
@@ -631,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--winograd", action="store_true",
                         help="also tune Winograd templates for eligible "
                              "convs and deploy the faster one per kernel")
-    p_tune.add_argument("--measure-cache", default=None,
-                        help="memoize measurements in this pickle file")
     p_tune.add_argument("--checkpoint-dir", default=None,
                         help="write per-task tuning checkpoints here")
     p_tune.add_argument("--resume", action="store_true",
@@ -669,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=sorted(MODEL_BUILDERS))
     p_compile.add_argument("--tlog-dir", required=True,
                            help="tuning-log database to deploy from")
-    p_compile.add_argument("--runs", type=int, default=600,
+    p_compile.add_argument("--runs", type=_at_least(2), default=600,
                            help="timed end-to-end runs")
     p_compile.add_argument("--seed", type=int, default=0)
     p_compile.add_argument("--env-seed", type=int, default=2021)
@@ -689,13 +697,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated device presets, each "
                               "optionally suffixed :fault_rate "
                               "(e.g. gtx1080ti,gtx1080ti:0.1,titanv)")
-    p_fleet.add_argument("--jobs", type=int, default=None,
+    p_fleet.add_argument("--jobs", type=_at_least(1), default=None,
                          help="worker threads draining the fleet "
                               "(default: one per device)")
-    p_fleet.add_argument("--budget", type=int, default=256,
+    p_fleet.add_argument("--budget", type=_at_least(1), default=256,
                          help="measurements per task")
     p_fleet.add_argument("--early-stop", type=int, default=None)
-    p_fleet.add_argument("--runs", type=int, default=600,
+    p_fleet.add_argument("--runs", type=_at_least(2), default=600,
                          help="timed end-to-end runs")
     p_fleet.add_argument("--seed", type=int, default=0)
     p_fleet.add_argument("--env-seed", type=int, default=2021)
@@ -732,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fig4", "fig5", "table1", "warmcold", "adaptive", "crossdevice",
         ],
     )
-    p_exp.add_argument("--scale", type=float, default=0.1,
+    p_exp.add_argument("--scale", type=_unit_scale, default=0.1,
                        help="budget scale in (0, 1]; 1.0 = paper protocol")
     p_exp.add_argument("--arms", default=None,
                        help="fig4/fig5/table1: comma-separated arm list "
@@ -742,22 +750,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--max-tasks", type=int, default=None,
                        help="fig5/warmcold/crossdevice: limit the number "
                             "of tasks")
-    p_exp.add_argument("--jobs", type=int, default=1,
+    p_exp.add_argument("--jobs", type=_at_least(1), default=1,
                        help="fan experiment cells over N worker processes "
                             "(results are identical to --jobs 1)")
-    p_exp.add_argument("--measure-cache", default=None,
-                       help="fig4/fig5: memoize measurements in this "
-                            "pickle file")
     p_exp.add_argument("--checkpoint-dir", default=None,
                        help="fig4/fig5: persist finished cells here; "
                             "rerunning skips them")
     p_exp.add_argument("--summary", default=None,
                        help="collect per-cell RunSummary files and an "
                             "aggregated summary.json in this directory")
-    p_exp.add_argument("--fleet", default=None,
-                       help="shard cells across a simulated device fleet "
-                            "(comma-separated presets; results identical "
-                            "to the serial run)")
     p_exp.add_argument("--model", default="mobilenet-v1",
                        choices=sorted(MODEL_BUILDERS),
                        help="warmcold/adaptive/crossdevice: model to study")
@@ -793,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--devices", default="gtx1080ti,gtx1080ti",
                          help="the service fleet (comma-separated device "
                               "presets, as in `repro fleet --devices`)")
-    p_serve.add_argument("--jobs", type=int, default=None,
+    p_serve.add_argument("--jobs", type=_at_least(1), default=None,
                          help="worker threads draining the fleet "
                               "(default: one per device)")
     p_serve.add_argument("--quota", action="append", metavar="TENANT=N",

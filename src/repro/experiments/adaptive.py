@@ -96,18 +96,16 @@ def run_adaptive_study(
     num_trials: int = 3,
     device: GpuDevice = GTX_1080_TI,
     jobs: int = 1,
-    measure_cache: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     summary_dir: Optional[str] = None,
-    fleet: Optional[str] = None,
 ) -> AdaptiveStudyResult:
     """Run the measurements-saved study on one model's first layers.
 
     ``n_trial``/``early_stopping`` default to the settings' budgets
     (early stopping stays *on* — it is what converts smaller batches
     into fewer total measurements).  The cell fan-out knobs (``jobs``,
-    ``measure_cache``, ``checkpoint_dir``, ``summary_dir``, ``fleet``)
-    behave exactly as in :func:`~repro.experiments.fig4.run_fig4`.
+    ``checkpoint_dir``, ``summary_dir``) behave exactly as in
+    :func:`~repro.experiments.fig4.run_fig4`.
     """
     if n_trial is None:
         n_trial = settings.n_trial
@@ -133,9 +131,8 @@ def run_adaptive_study(
         for trial in range(num_trials)
     ]
     with ExperimentEngine(
-        settings, jobs=jobs, measure_cache=measure_cache,
+        settings, jobs=jobs,
         checkpoint_dir=checkpoint_dir, summary_dir=summary_dir,
-        fleet=fleet,
     ) as engine:
         results = engine.run_cells(cells)
 

@@ -1,16 +1,20 @@
-"""Parallel experiment engine: fan independent cells over worker processes.
+"""Experiment engine: run the evaluation grid's cells inline or on a pool.
 
 The paper's evaluation is a grid of independent *cells* — one (arm,
 task, trial) tuning run, or one (model, arm, trial) end-to-end
 deployment.  Nothing couples cells except aggregation at the end, and
 every cell's randomness derives from its own coordinates via
-:func:`repro.utils.rng.derive_seed`, so executing them on a process
-pool in any order produces results bit-identical to the historical
-serial loops.  :class:`ExperimentEngine` owns that fan-out; the
+:func:`repro.utils.rng.derive_seed`, so a cell is a pure function of
+its coordinates.  :class:`ExperimentEngine` maps one module-level cell
+function over the grid: inline in submission order at ``jobs=1``, on a
+process pool otherwise.  Both run the same function on the same inputs,
+so ``jobs`` changes wall-clock time and never results.  The
 ``fig4``/``fig5``/``table1`` harnesses all build on it.
 
-``jobs=1`` (the default) runs cells inline in submission order — the
-exact code path of the old serial loops, with zero pickling overhead.
+The process pool is the grid's one fan-out.  Cells are CPU-bound
+Python and measure on their own simulated task, so only separate
+processes put them on separate cores (``docs/EXECUTION.md`` has the
+timings).
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ from repro.experiments.runner import (
     run_arm_on_task,
 )
 from repro.experiments.settings import ExperimentSettings
-from repro.fleet.devices import Fleet, FleetSpec
-from repro.fleet.reporting import write_fleet_report
-from repro.fleet.scheduler import FleetRunResult, FleetScheduler, FleetTask
-from repro.hardware.executor import MeasureCache
 from repro.hardware.measure import SimulatedTask
 from repro.obs import (
     TuningObserver,
@@ -73,29 +73,24 @@ def _cell_slug(cell: ExperimentCell) -> str:
     )
 
 
-def _cell_checkpoint_name(cell: ExperimentCell) -> str:
-    """Completed-cell filename under ``checkpoint_dir``."""
-    return f"cell-{_cell_slug(cell)}.done"
+def _under(root: Optional[Path], name: str) -> Optional[str]:
+    """``root/name`` as a string, or ``None`` without a root."""
+    return None if root is None else str(root / name)
 
 
-def _cell_summary_name(cell: ExperimentCell) -> str:
-    """Per-cell RunSummary filename under ``summary_dir``."""
-    return f"cell-{_cell_slug(cell)}.summary.json"
-
-
-def _execute_cell(
-    cell: ExperimentCell,
-    settings: ExperimentSettings,
-    cache: Optional[MeasureCache],
-    done_path: Optional[str],
-    summary_path: Optional[str],
+def _run_cell(
+    payload: Tuple[
+        ExperimentCell, ExperimentSettings, Optional[str], Optional[str]
+    ],
 ) -> TuningResult:
     """Run one cell, persisting its summary (then its ``.done`` marker).
 
-    The summary is written *before* the done marker so a crash between
-    the two leaves a re-runnable cell, never a done cell with a missing
-    summary.
+    The one cell function of both execution paths (module-level so the
+    pool can pickle it).  The summary is written *before* the done
+    marker so a crash between the two leaves a re-runnable cell, never
+    a done cell with a missing summary.
     """
+    cell, settings, done_path, summary_path = payload
     observer = (
         TuningObserver(enable_metrics=False, enable_trace=False)
         if summary_path is not None
@@ -108,7 +103,6 @@ def _execute_cell(
         trial=cell.trial,
         n_trial=cell.n_trial,
         early_stopping=cell.early_stopping,
-        measure_cache=cache,
         on_event=(observer,) if observer is not None else (),
     )
     if observer is not None and summary_path is not None:
@@ -120,31 +114,13 @@ def _execute_cell(
     return result
 
 
-def _run_cell(
-    payload: Tuple[
-        ExperimentCell,
-        ExperimentSettings,
-        Optional[str],
-        Optional[str],
-        Optional[str],
-    ],
-) -> TuningResult:
-    """Worker entry point: execute one cell (must stay module-level)."""
-    cell, settings, cache_path, done_path, summary_path = payload
-    cache = MeasureCache(path=cache_path) if cache_path is not None else None
-    return _execute_cell(cell, settings, cache, done_path, summary_path)
-
-
 class ExperimentEngine:
-    """Executes experiment cells, serially or across a process pool.
+    """Executes experiment cells, inline or across a process pool.
 
     Determinism is the contract: for any ``jobs``, results come back in
-    submission order and each cell's records are identical to what the
-    serial loop produced, because per-cell seeds derive from cell
-    coordinates alone.  ``measure_cache`` (a path) lets cells reuse
-    previously simulated measurements across trials and arms; with
-    ``jobs > 1`` each worker loads the cache read-only (no write-back
-    merge across processes).
+    submission order and each cell's records are identical to the
+    inline run's, because per-cell seeds derive from cell coordinates
+    alone.
 
     ``checkpoint_dir`` makes the grid restartable at cell granularity:
     every finished cell is persisted (atomically) as a ``.done`` file
@@ -160,34 +136,19 @@ class ExperimentEngine:
     point it at their output dirs).  Summaries survive grid restarts:
     a cell loaded from its ``.done`` file keeps the summary written
     when it originally ran.
-
-    ``fleet`` (any :data:`~repro.fleet.FleetSpec`) switches the engine
-    from the process pool to the work-stealing
-    :class:`~repro.fleet.FleetScheduler`: cells home on device
-    ``seq % len(fleet)``, checkpoints land under per-device
-    subdirectories, and ``jobs`` becomes the worker-thread count (one
-    per device when left at 1).  Cells stay pure functions of their
-    coordinates, so fleet results are bit-identical to serial for any
-    pool size; the scheduling report lands in
-    ``summary_dir/fleet.json`` and on :attr:`fleet_result`.
     """
 
     def __init__(
         self,
         settings: ExperimentSettings,
         jobs: int = 1,
-        measure_cache: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         summary_dir: Optional[str] = None,
-        fleet: Optional[FleetSpec] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.settings = settings
         self.jobs = jobs
-        self.measure_cache = measure_cache
-        self.fleet = Fleet.from_spec(fleet) if fleet is not None else None
-        self.fleet_result: Optional[FleetRunResult] = None
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -198,63 +159,22 @@ class ExperimentEngine:
         )
         if self.summary_dir is not None:
             self.summary_dir.mkdir(parents=True, exist_ok=True)
-        self._shared_cache: Optional[MeasureCache] = None
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
 
     def map(self, fn: Callable[[T], R], payloads: Sequence[T]) -> List[R]:
         """Ordered map of ``fn`` over payloads, inline or on the pool.
 
         ``fn`` must be a module-level (picklable) callable when
-        ``jobs > 1``.  In fleet mode the payloads are sharded across
-        the device pool instead (worker threads, no pickling), so
-        ``fn`` only needs to be thread-safe.
+        ``jobs > 1``.
         """
         payloads = list(payloads)
-        if self.fleet is not None and len(payloads) > 1:
-            scheduler = FleetScheduler(
-                self.fleet,
-                lambda task, _device: fn(task.payload),
-                jobs=self.jobs if self.jobs > 1 else None,
-            )
-            fleet_result = scheduler.run(
-                [
-                    FleetTask(key=f"item-{i:04d}", seq=i, payload=p)
-                    for i, p in enumerate(payloads)
-                ]
-            )
-            self.fleet_result = fleet_result
-            return [
-                fleet_result.results[f"item-{i:04d}"]
-                for i in range(len(payloads))
-            ]
         if self.jobs == 1 or len(payloads) <= 1:
             return [fn(p) for p in payloads]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, payloads, chunksize=1))
-
-    def _cell_done_path(
-        self, cell: ExperimentCell, seq: Optional[int] = None
-    ) -> Optional[Path]:
-        if self.checkpoint_dir is None:
-            return None
-        base = self.checkpoint_dir
-        if self.fleet is not None and seq is not None:
-            # fleet mode: checkpoints live under the cell's home device
-            base = base / self.fleet.home_of(seq).dirname
-            base.mkdir(parents=True, exist_ok=True)
-        return base / _cell_checkpoint_name(cell)
-
-    def _cell_summary_path(self, cell: ExperimentCell) -> Optional[Path]:
-        if self.summary_dir is None:
-            return None
-        return self.summary_dir / _cell_summary_name(cell)
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        return list(self._pool.map(fn, payloads, chunksize=1))
 
     def aggregate_summaries(self) -> Optional[dict]:
         """Fold per-cell summary files into ``summary_dir/summary.json``."""
@@ -273,110 +193,28 @@ class ExperimentEngine:
         directory-level aggregate is refreshed before returning.
         """
         results: List[Optional[TuningResult]] = [None] * len(cells)
-        pending: List[Tuple[int, ExperimentCell, Optional[Path]]] = []
+        pending: List[int] = []
+        payloads = []
         for i, cell in enumerate(cells):
-            done_path = self._cell_done_path(cell, seq=i)
-            if done_path is not None and done_path.exists():
-                with done_path.open("rb") as fh:
+            slug = _cell_slug(cell)
+            done_path = _under(self.checkpoint_dir, f"cell-{slug}.done")
+            if done_path is not None and Path(done_path).exists():
+                with open(done_path, "rb") as fh:
                     results[i] = pickle.load(fh)
-            else:
-                pending.append((i, cell, done_path))
+                continue
+            summary_path = _under(
+                self.summary_dir, f"cell-{slug}.summary.json"
+            )
+            pending.append(i)
+            payloads.append((cell, self.settings, done_path, summary_path))
         logger.info(
-            "engine: %d cells (%d cached) on %d worker(s)",
+            "engine: %d cells (%d loaded) on %d worker(s)",
             len(cells), len(cells) - len(pending), self.jobs,
         )
-        if self.fleet is not None:
-            self._run_cells_fleet(pending, results)
-            self.aggregate_summaries()
-            return list(results)  # type: ignore[arg-type]
-        if self.jobs == 1:
-            cache: Optional[MeasureCache] = None
-            if self.measure_cache is not None and pending:
-                if self._shared_cache is None:
-                    self._shared_cache = MeasureCache(path=self.measure_cache)
-                cache = self._shared_cache
-            for i, cell, done_path in pending:
-                summary_path = self._cell_summary_path(cell)
-                results[i] = _execute_cell(
-                    cell,
-                    self.settings,
-                    cache,
-                    str(done_path) if done_path is not None else None,
-                    str(summary_path) if summary_path is not None else None,
-                )
-            if cache is not None:
-                cache.save()
-            self.aggregate_summaries()
-            return list(results)  # type: ignore[arg-type]
-        payloads = []
-        for _, cell, done_path in pending:
-            summary_path = self._cell_summary_path(cell)
-            payloads.append(
-                (
-                    cell,
-                    self.settings,
-                    self.measure_cache,
-                    str(done_path) if done_path is not None else None,
-                    str(summary_path) if summary_path is not None else None,
-                )
-            )
-        for (i, _, _), result in zip(pending, self.map(_run_cell, payloads)):
+        for i, result in zip(pending, self.map(_run_cell, payloads)):
             results[i] = result
         self.aggregate_summaries()
         return list(results)  # type: ignore[arg-type]
-
-    def _run_cells_fleet(
-        self,
-        pending: Sequence[Tuple[int, ExperimentCell, Optional[Path]]],
-        results: List[Optional[TuningResult]],
-    ) -> FleetRunResult:
-        """Drain pending cells through the work-stealing fleet scheduler.
-
-        Each worker thread opens the measurement cache read-only per
-        cell (the process-pool semantics), and a cell failure raises
-        :class:`~repro.fleet.FleetError` after in-flight cells finish —
-        their ``.done`` files make the grid resumable.
-        """
-        by_key = {
-            f"cell-{i:04d}-{_cell_slug(cell)}": (i, cell, done_path)
-            for i, cell, done_path in pending
-        }
-
-        def run(ftask: FleetTask, _executing_device) -> TuningResult:
-            _, cell, done_path = by_key[ftask.key]
-            summary_path = self._cell_summary_path(cell)
-            cache = (
-                MeasureCache(path=self.measure_cache)
-                if self.measure_cache is not None
-                else None
-            )
-            return _execute_cell(
-                cell,
-                self.settings,
-                cache,
-                str(done_path) if done_path is not None else None,
-                str(summary_path) if summary_path is not None else None,
-            )
-
-        scheduler = FleetScheduler(
-            self.fleet, run, jobs=self.jobs if self.jobs > 1 else None
-        )
-        fleet_result = scheduler.run(
-            [FleetTask(key=key, seq=i) for key, (i, _, _) in by_key.items()]
-        )
-        for key, result in fleet_result.results.items():
-            results[by_key[key][0]] = result
-        measurements = {
-            key: result.num_measurements
-            for key, result in fleet_result.results.items()
-        }
-        report_dir = self.summary_dir or self.checkpoint_dir
-        if report_dir is not None:
-            write_fleet_report(
-                report_dir / "fleet.json", fleet_result, measurements
-            )
-        self.fleet_result = fleet_result
-        return fleet_result
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

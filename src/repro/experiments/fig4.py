@@ -66,10 +66,8 @@ def run_fig4(
     num_trials: int = 3,
     device: GpuDevice = GTX_1080_TI,
     jobs: int = 1,
-    measure_cache: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     summary_dir: Optional[str] = None,
-    fleet: Optional[str] = None,
 ) -> Fig4Result:
     """Regenerate the Fig. 4 convergence study.
 
@@ -78,9 +76,7 @@ def run_fig4(
     ``checkpoint_dir`` persists finished cells so an interrupted study
     can be rerun without recomputing them.  ``summary_dir`` collects
     per-cell RunSummary files plus an aggregated ``summary.json``
-    (typically the figure's output directory).  ``fleet`` (a device
-    spec like ``gtx1080ti,titanv``) shards the cells across a
-    simulated device pool instead — see :mod:`repro.fleet`.
+    (typically the figure's output directory).
     """
     graph = build_model(model_name)
     tasks = extract_tasks(graph)[:num_layers]
@@ -101,9 +97,8 @@ def run_fig4(
         for trial in range(num_trials)
     ]
     with ExperimentEngine(
-        settings, jobs=jobs, measure_cache=measure_cache,
+        settings, jobs=jobs,
         checkpoint_dir=checkpoint_dir, summary_dir=summary_dir,
-        fleet=fleet,
     ) as engine:
         results = engine.run_cells(cells)
 

@@ -84,10 +84,8 @@ def run_fig5(
     device: GpuDevice = GTX_1080_TI,
     max_tasks: Optional[int] = None,
     jobs: int = 1,
-    measure_cache: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     summary_dir: Optional[str] = None,
-    fleet: Optional[str] = None,
 ) -> Fig5Result:
     """Regenerate the Fig. 5 study (early stopping active, as in the paper).
 
@@ -96,9 +94,6 @@ def run_fig5(
     ``checkpoint_dir`` persists finished cells so an interrupted study
     can be rerun without recomputing them.  ``summary_dir`` collects
     per-cell RunSummary files plus an aggregated ``summary.json``.
-    ``fleet`` (a device spec like ``gtx1080ti,titanv``) shards the
-    cells across a simulated device pool instead — see
-    :mod:`repro.fleet`.
     """
     graph = build_model(model_name)
     tasks = extract_tasks(graph)
@@ -118,9 +113,8 @@ def run_fig5(
         for trial in range(trials)
     ]
     with ExperimentEngine(
-        settings, jobs=jobs, measure_cache=measure_cache,
+        settings, jobs=jobs,
         checkpoint_dir=checkpoint_dir, summary_dir=summary_dir,
-        fleet=fleet,
     ) as engine:
         results = engine.run_cells(cells)
 

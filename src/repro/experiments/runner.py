@@ -2,17 +2,13 @@
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core import make_tuner
-from repro.core.checkpoint import CheckpointSpec
 from repro.core.tuner import TuningResult
 from repro.experiments.settings import ExperimentSettings
-from repro.hardware.executor import ExecutorSpec, MeasureCache, build_executor
-from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.hardware.measure import SimulatedTask
 from repro.utils.rng import derive_seed
 
@@ -49,12 +45,6 @@ def run_arm_on_task(
     trial: int = 0,
     n_trial: Optional[int] = None,
     early_stopping: EarlyStoppingArg = DEFAULT_EARLY_STOPPING,
-    executor: ExecutorSpec = None,
-    measure_cache: Optional[MeasureCache] = None,
-    faults: Optional[FaultModel] = None,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint: CheckpointSpec = None,
-    resume: bool = False,
     on_event: Sequence = (),
 ) -> TuningResult:
     """Run one arm on one task for one trial.
@@ -64,47 +54,20 @@ def run_arm_on_task(
     result is a pure function of the cell coordinates, independent of
     which worker (or in which order) the cell executes.  Pass
     ``early_stopping=None`` to disable stopping (fixed-budget runs, as
-    in the Fig. 4 convergence study).  ``executor`` (``None``, an
-    executor instance, or a ``measurer -> executor`` factory) and
-    ``measure_cache`` select the measurement backend for the tuner;
-    ``faults``/``retry`` inject deterministic measurement faults with
-    retry/backoff.
-
-    ``checkpoint`` enables periodic tuning checkpoints; with
-    ``resume=True`` and an existing checkpoint file the run continues
-    from it, reproducing the uninterrupted measurement stream exactly.
-    ``on_event`` sinks (e.g. a :class:`repro.obs.TuningObserver`) are
-    forwarded to both the fresh-tune and the resume path.
+    in the Fig. 4 convergence study).  ``on_event`` sinks (e.g. a
+    :class:`repro.obs.TuningObserver`) are forwarded to the tune.
     """
     seed = derive_seed(settings.env_seed, "trial", arm, task.name, trial)
-    executor_spec: ExecutorSpec = executor
-    if measure_cache is not None or faults is not None or retry is not None:
-        def executor_spec(measurer):  # noqa: F811 - intentional rebind
-            return build_executor(
-                measurer, executor, cache=measure_cache,
-                faults=faults, retry=retry,
-            )
-
-    tuner = make_tuner(
-        arm, task, seed=seed, executor=executor_spec,
-        **settings.tuner_kwargs(arm),
-    )
+    tuner = make_tuner(arm, task, seed=seed, **settings.tuner_kwargs(arm))
     stop = (
         settings.early_stopping
         if isinstance(early_stopping, DefaultEarlyStopping)
         else early_stopping
     )
     try:
-        if resume and checkpoint is not None:
-            path = checkpoint if isinstance(checkpoint, (str, Path)) else (
-                checkpoint.path
-            )
-            if Path(path).exists():
-                return tuner.resume(path, on_event=on_event)
         return tuner.tune(
             n_trial=n_trial if n_trial is not None else settings.n_trial,
             early_stopping=stop,
-            checkpoint=checkpoint,
             on_event=on_event,
         )
     finally:

@@ -166,14 +166,11 @@ def run_table1(
     num_trials: Optional[int] = None,
     jobs: int = 1,
     summary_dir: Optional[str] = None,
-    fleet: Optional[str] = None,
 ) -> Table1Result:
     """Regenerate Table I (the full five-model end-to-end comparison).
 
     ``jobs`` fans the (model, arm, trial) cells over a process pool;
-    results are identical to the serial run for any value.  ``fleet``
-    (a device spec like ``gtx1080ti,titanv``) shards the cells across
-    a simulated device pool instead — see :mod:`repro.fleet`.
+    results are identical to the serial run for any value.
     ``summary_dir`` collects one RunSummary cell file per (model, arm,
     trial) plus the aggregated ``summary.json``.
     """
@@ -203,7 +200,7 @@ def run_table1(
         )
         for model_name, arm, trial in grid
     ]
-    with ExperimentEngine(settings, jobs=jobs, fleet=fleet) as engine:
+    with ExperimentEngine(settings, jobs=jobs) as engine:
         samples = engine.map(_table1_cell, payloads)
     if summary_root is not None:
         aggregate_summary_dir(str(summary_root))

@@ -2,12 +2,11 @@
 
 The paper tunes on a single GTX 1080 Ti; this package supplies the
 scaling step — a work-stealing scheduler (:class:`FleetScheduler`)
-that shards the per-task tuning runs of a deployment compile (and
-experiment-grid cells) across a pool of named devices
-(:class:`Fleet` / :class:`FleetDevice`), while keeping every task's
-records bit-identical to a serial single-device run.  See
-``docs/EXECUTION.md`` ("Fleet scheduling") for the determinism
-contract and the CLI quickstart.
+that shards the per-task tuning runs of a deployment compile across
+a pool of named devices (:class:`Fleet` / :class:`FleetDevice`), while
+keeping every task's records bit-identical to a serial single-device
+run.  See ``docs/EXECUTION.md`` ("Fleet scheduling") for the
+determinism contract and the CLI quickstart.
 """
 
 from repro.fleet.devices import (

@@ -20,8 +20,7 @@ and never feeds back into results.
 A task that raises aborts the fleet: in-flight tasks finish, queued
 ones stay unexecuted, and :class:`FleetError` carries both the failure
 map and the partial :class:`FleetRunResult` so callers with durable
-checkpoints (the deployment compiler, the experiment engine) can
-resume the survivors.
+checkpoints (the deployment compiler) can resume the survivors.
 """
 
 from __future__ import annotations
@@ -39,11 +38,10 @@ logger = get_logger("fleet.scheduler")
 
 @dataclass(frozen=True)
 class FleetTask:
-    """One schedulable unit: a stable key, its position, and a payload."""
+    """One schedulable unit: a stable key and its position."""
 
     key: str
     seq: int
-    payload: Any = None
 
     def __post_init__(self) -> None:
         if not self.key:

@@ -28,9 +28,7 @@ from repro.hardware.measure import (
     SimulatedTask,
 )
 from repro.hardware.executor import (
-    CachingExecutor,
     FaultInjectingExecutor,
-    MeasureCache,
     MeasureExecutor,
     SerialExecutor,
     build_executor,
@@ -60,9 +58,7 @@ __all__ = [
     "SimulatedTask",
     "MeasureExecutor",
     "SerialExecutor",
-    "CachingExecutor",
     "FaultInjectingExecutor",
-    "MeasureCache",
     "build_executor",
     "FaultKind",
     "FaultModel",

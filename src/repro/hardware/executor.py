@@ -1,16 +1,12 @@
-"""Measurement execution: one backend and its decorators, one batch contract.
+"""Measurement execution: one backend and its decorator, one batch contract.
 
 The tuning loop proposes batches of configurations; *how* a batch gets
 deployed is this module's concern.  :class:`MeasureExecutor` is the
 interface (AutoTVM's ``measure_batch`` contract), with one backend and
-two decorators:
+one decorator:
 
 * :class:`SerialExecutor` — deploys the batch in order in-process
   (the default).
-* :class:`CachingExecutor` — a decorator that memoizes
-  ``(task fingerprint, config index) -> MeasureResult`` in memory and
-  optionally on disk, so repeated trials/arms never re-simulate a
-  configuration they have already deployed.
 * :class:`FaultInjectingExecutor` — a decorator that subjects each
   measurement to deterministic transient faults with retry/backoff.
 
@@ -25,10 +21,8 @@ via their ``executor=`` argument — see :func:`build_executor`.
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.hardware.faults import (
     FaultKind,
@@ -41,12 +35,7 @@ from repro.hardware.measure import (
     Measurer,
     MeasureResult,
 )
-from repro.obs.hooks import (
-    measure_hooks_active,
-    notify_cache,
-    notify_measure,
-)
-from repro.utils.io import atomic_write_bytes
+from repro.obs.hooks import measure_hooks_active, notify_measure
 from repro.utils.log import get_logger
 
 logger = get_logger("hardware.executor")
@@ -140,130 +129,6 @@ class SerialExecutor(MeasureExecutor):
         results = self._measurer.measure_batch(config_indices)
         notify_measure("serial", len(results), time.perf_counter() - start)
         return results
-
-
-# ----------------------------------------------------------------------
-# caching
-
-CacheKey = Tuple[str, int]
-
-
-class MeasureCache:
-    """Shared ``(task fingerprint, config index) -> MeasureResult`` store.
-
-    One cache may back many executors across tasks, trials and arms —
-    the fingerprint keeps environments apart while letting identical
-    configurations share one simulation.  ``path`` enables a disk
-    round-trip: existing entries load eagerly, :meth:`save` writes the
-    store back atomically.
-    """
-
-    def __init__(self, path: Optional[str] = None):
-        self._data: Dict[CacheKey, MeasureResult] = {}
-        self.path = path
-        if path is not None and os.path.exists(path):
-            self.load(path)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._data
-
-    def get(self, key: CacheKey) -> Optional[MeasureResult]:
-        """Return the cached result for ``key`` (None on a miss)."""
-        return self._data.get(key)
-
-    def put(self, key: CacheKey, result: MeasureResult) -> None:
-        """Store one measurement under ``key``."""
-        self._data[key] = result
-
-    def load(self, path: str) -> int:
-        """Merge entries from ``path`` into the store; returns count read."""
-        with open(path, "rb") as handle:
-            entries: Dict[CacheKey, MeasureResult] = pickle.load(handle)
-        self._data.update(entries)
-        logger.info("measure cache: loaded %d entries from %s", len(entries), path)
-        return len(entries)
-
-    def save(self, path: Optional[str] = None) -> str:
-        """Write the store to disk atomically (write-tmp-fsync-rename)."""
-        target = path if path is not None else self.path
-        if target is None:
-            raise ValueError("no path given and cache has no default path")
-        return atomic_write_bytes(target, pickle.dumps(self._data))
-
-
-class CachingExecutor(MeasureExecutor):
-    """Decorator executor that memoizes measurements through a cache.
-
-    Hits return the stored :class:`MeasureResult` unchanged (same noise
-    draw as the first deployment); only misses reach the wrapped
-    executor, in their original relative order.  :attr:`hits` and
-    :attr:`misses` expose effectiveness.
-    """
-
-    def __init__(
-        self,
-        inner: MeasureExecutor,
-        cache: Optional[MeasureCache] = None,
-        path: Optional[str] = None,
-    ):
-        self.inner = inner
-        self.cache = cache if cache is not None else MeasureCache(path=path)
-        self._fingerprint = inner.measurer.task.fingerprint
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def measurer(self) -> Measurer:
-        return self.inner.measurer
-
-    @property
-    def num_measurements(self) -> int:
-        return self.inner.num_measurements
-
-    def sync_ordinal(self, ordinal: int) -> None:
-        """Forward the checkpoint-resume ordinal to the wrapped executor."""
-        self.inner.sync_ordinal(ordinal)
-
-    def drain_fault_outcomes(self) -> List[FaultOutcome]:
-        """Forward to the wrapped executor."""
-        return self.inner.drain_fault_outcomes()
-
-    def measure_batch(
-        self, config_indices: Sequence[int]
-    ) -> List[MeasureResult]:
-        """Serve hits from the cache; deploy only the misses."""
-        indices = [int(i) for i in config_indices]
-        out: List[Optional[MeasureResult]] = [None] * len(indices)
-        miss_positions: List[int] = []
-        batch_hits = 0
-        for pos, idx in enumerate(indices):
-            cached = self.cache.get((self._fingerprint, idx))
-            if cached is not None:
-                out[pos] = cached
-                batch_hits += 1
-            else:
-                miss_positions.append(pos)
-        self.hits += batch_hits
-        if miss_positions:
-            self.misses += len(miss_positions)
-            fresh = self.inner.measure_batch(
-                [indices[pos] for pos in miss_positions]
-            )
-            for pos, result in zip(miss_positions, fresh):
-                self.cache.put((self._fingerprint, indices[pos]), result)
-                out[pos] = result
-        if indices:
-            notify_cache(batch_hits, len(miss_positions))
-        return [r for r in out if r is not None]
-
-    def close(self) -> None:
-        """Persist the cache (when it has a path) and close the inner."""
-        if self.cache.path is not None:
-            self.cache.save()
-        self.inner.close()
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +272,6 @@ class FaultInjectingExecutor(MeasureExecutor):
 def build_executor(
     measurer: Measurer,
     spec: ExecutorSpec = None,
-    cache: Optional[MeasureCache] = None,
     faults: Optional[FaultModel] = None,
     retry: Optional[RetryPolicy] = None,
 ) -> MeasureExecutor:
@@ -416,8 +280,7 @@ def build_executor(
     ``spec`` may be ``None`` (a :class:`SerialExecutor`), an existing
     :class:`MeasureExecutor` (returned as-is), or a factory callable
     ``measurer -> MeasureExecutor``; anything else raises
-    :class:`ValueError`.  ``cache`` wraps the result in a
-    :class:`CachingExecutor`; ``faults`` wraps it (outermost) in a
+    :class:`ValueError`.  ``faults`` wraps the result in a
     :class:`FaultInjectingExecutor` with ``retry`` (default policy when
     omitted).
     """
@@ -432,8 +295,6 @@ def build_executor(
             f"unknown executor spec {spec!r}; expected None, an executor, "
             "or a factory"
         )
-    if cache is not None and not isinstance(executor, CachingExecutor):
-        executor = CachingExecutor(executor, cache=cache)
     if faults is not None and not isinstance(
         executor, FaultInjectingExecutor
     ):

@@ -66,8 +66,8 @@ class SimulatedTask:
     around it with the profile's noise sigma.  The terrain seed derives
     deterministically from ``(workload, seed)``, so a task is a pure
     function of its constructor arguments and :attr:`fingerprint`
-    identifies the environment across processes (the measurement-cache
-    key prefix).
+    identifies the environment across processes (checkpoints check it
+    on resume).
     """
 
     def __init__(
@@ -106,7 +106,8 @@ class SimulatedTask:
 
         Two tasks share a fingerprint exactly when they present the same
         optimization problem: same workload, device, template, space and
-        environment seed.  Used as the measurement-cache key prefix.
+        environment seed.  Tuning checkpoints store it, and resuming
+        rejects a checkpoint written for another task.
         """
         return (
             f"{self.workload!r}|{self.device.name}|{self.template}"

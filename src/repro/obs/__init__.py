@@ -16,7 +16,6 @@ bus, so there are no cycles.  See ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.hooks import (
-    notify_cache,
     notify_measure,
     notify_refit,
     measure_hooks_active,
@@ -59,7 +58,6 @@ __all__ = [
     "aggregate_summaries",
     "aggregate_summary_dir",
     "measure_hooks_active",
-    "notify_cache",
     "notify_measure",
     "notify_refit",
     "read_jsonl",

@@ -1,13 +1,13 @@
 """Thread-local observability hook bus.
 
 Deep subsystems (the bootstrap ensemble's refit, the measurement
-executors, the measurement cache) have timing and counters worth
-exporting, but they sit far below the tuning loop and must not import
-the observer — and the observer must not import them.  This module is
-the seam: it holds lists of registered hook callables and a
-``notify_*`` function per instrumentation point.  Call sites pay one
-truthiness check when nothing is registered, so observability off is
-effectively free on the hot paths.
+executors) have timing and counters worth exporting, but they sit far
+below the tuning loop and must not import the observer — and the
+observer must not import them.  This module is the seam: it holds
+lists of registered hook callables and a ``notify_*`` function per
+instrumentation point.  Call sites pay one truthiness check when
+nothing is registered, so observability off is effectively free on
+the hot paths.
 
 :class:`~repro.obs.observer.TuningObserver` registers its hooks in
 ``on_tune_begin`` and removes them in ``on_tune_end``; nothing else in
@@ -32,8 +32,6 @@ from typing import Callable, List
 RefitHook = Callable[[int, float, str], None]
 #: ``(backend, n_configs, duration_s)`` — an executor deployed a batch
 MeasureHook = Callable[[str, int, float], None]
-#: ``(hits, misses)`` — a caching executor resolved a batch
-CacheHook = Callable[[int, int], None]
 
 #: ``(reused_trees,)`` — an incremental refit reused previously-grown trees
 RefitReuseHook = Callable[[int], None]
@@ -145,28 +143,6 @@ def notify_measure(backend: str, n_configs: int, duration_s: float) -> None:
 def measure_hooks_active() -> bool:
     """True when at least one measure hook is registered on this thread."""
     return bool(_hooks("measure")) or _capture_buffer() is not None
-
-
-def add_cache_hook(hook: CacheHook) -> None:
-    """Subscribe to measurement-cache batch resolutions."""
-    _hooks("cache").append(hook)
-
-
-def remove_cache_hook(hook: CacheHook) -> None:
-    """Unsubscribe a cache hook (no-op when absent)."""
-    hooks = _hooks("cache")
-    if hook in hooks:
-        hooks.remove(hook)
-
-
-def notify_cache(hits: int, misses: int) -> None:
-    """Report one cache-resolved batch (hit/miss split)."""
-    buffer = _capture_buffer()
-    if buffer is not None:
-        buffer.append(("cache", (hits, misses)))
-        return
-    for hook in tuple(_hooks("cache")):
-        hook(hits, misses)
 
 
 def add_refit_reuse_hook(hook: RefitReuseHook) -> None:

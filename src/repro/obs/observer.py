@@ -82,8 +82,6 @@ class TuningObserver:
         self._widenings = 0
         self._retries = 0
         self._failures = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
         self._tlog_hits = 0
         self._warm_starts = 0
         self._warm_injected = 0
@@ -144,8 +142,6 @@ class TuningObserver:
         m.counter("resumes_total", "runs resumed from checkpoint")
         m.counter("early_stops_total", "early-stopping triggers")
         m.counter("space_exhausted_total", "search-space exhaustions")
-        m.counter("cache_hits_total", "measurement cache hits")
-        m.counter("cache_misses_total", "measurement cache misses")
         m.counter("tlog_exact_hits_total", "tasks served from the tuning log")
         m.counter("tlog_warm_starts_total", "tasks warm-started from the log")
         m.counter(
@@ -211,7 +207,6 @@ class TuningObserver:
         if not self._hooks_active:
             hooks.add_refit_hook(self._on_refit)
             hooks.add_measure_hook(self._on_measure)
-            hooks.add_cache_hook(self._on_cache)
             hooks.add_refit_reuse_hook(self._on_refit_reuse)
             self._hooks_active = True
 
@@ -220,7 +215,6 @@ class TuningObserver:
         if self._hooks_active:
             hooks.remove_refit_hook(self._on_refit)
             hooks.remove_measure_hook(self._on_measure)
-            hooks.remove_cache_hook(self._on_cache)
             hooks.remove_refit_reuse_hook(self._on_refit_reuse)
             self._hooks_active = False
         if self.trace is not None and self._root_id is not None:
@@ -418,13 +412,6 @@ class TuningObserver:
                 f"batches deployed by the {backend} executor",
             ).inc()
 
-    def _on_cache(self, hits: int, misses: int) -> None:
-        self._cache_hits += hits
-        self._cache_misses += misses
-        if self.metrics is not None:
-            self.metrics.get("cache_hits_total").inc(hits)
-            self.metrics.get("cache_misses_total").inc(misses)
-
     def _on_refit_reuse(self, reused_trees: int) -> None:
         self._refit_reused_trees += int(reused_trees)
         if self.metrics is not None:
@@ -455,8 +442,6 @@ class TuningObserver:
             widenings=self._widenings,
             retries=self._retries,
             failures=self._failures,
-            cache_hits=self._cache_hits,
-            cache_misses=self._cache_misses,
             exploit_steps=self._exploit_steps,
             pruned_candidates=self._pruned_candidates,
             finish_phase=self._finish_phase,
@@ -489,8 +474,6 @@ class TuningObserver:
             "widenings": self._widenings,
             "retries": self._retries,
             "failures": self._failures,
-            "cache_hits": self._cache_hits,
-            "cache_misses": self._cache_misses,
             "tlog_hits": self._tlog_hits,
             "warm_starts": self._warm_starts,
             "warm_injected": self._warm_injected,
@@ -535,8 +518,6 @@ class TuningObserver:
         self._widenings = int(state.get("widenings", 0))
         self._retries = int(state.get("retries", 0))
         self._failures = int(state.get("failures", 0))
-        self._cache_hits = int(state.get("cache_hits", 0))
-        self._cache_misses = int(state.get("cache_misses", 0))
         self._tlog_hits = int(state.get("tlog_hits", 0))
         self._warm_starts = int(state.get("warm_starts", 0))
         self._warm_injected = int(state.get("warm_injected", 0))

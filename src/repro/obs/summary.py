@@ -48,8 +48,6 @@ class RunSummary:
     widenings: int = 0
     retries: int = 0
     failures: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: coordinate-descent axis sweeps proposed (Droplet-style arms)
     exploit_steps: int = 0
     #: proposals dropped by the adaptive-sampling stage before measuring
@@ -116,8 +114,6 @@ def aggregate_summaries(summaries: Iterable[RunSummary]) -> Dict[str, Any]:
         "widenings": sum(s.widenings for s in rows),
         "retries": sum(s.retries for s in rows),
         "failures": sum(s.failures for s in rows),
-        "cache_hits": sum(s.cache_hits for s in rows),
-        "cache_misses": sum(s.cache_misses for s in rows),
         "exploit_steps": sum(s.exploit_steps for s in rows),
         "pruned_candidates": sum(s.pruned_candidates for s in rows),
         "speculations": sum(s.speculations for s in rows),

@@ -45,11 +45,7 @@ from repro.fleet.scheduler import (
     FleetTask,
 )
 from repro.hardware.device import GTX_1080_TI, GpuDevice
-from repro.hardware.executor import (
-    ExecutorSpec,
-    MeasureCache,
-    build_executor,
-)
+from repro.hardware.executor import ExecutorSpec, build_executor
 from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.hardware.measure import SimulatedTask
 from repro.nn.graph import Graph
@@ -217,18 +213,16 @@ class DeploymentCompiler:
     @staticmethod
     def _executor_spec(
         executor: ExecutorSpec,
-        measure_cache: Optional[MeasureCache] = None,
         faults: Optional[FaultModel] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> ExecutorSpec:
         """Fold executor options into a single spec for :func:`make_tuner`."""
-        if measure_cache is None and faults is None and retry is None:
+        if faults is None and retry is None:
             return executor
 
         def spec(measurer):
             return build_executor(
-                measurer, executor, cache=measure_cache,
-                faults=faults, retry=retry,
+                measurer, executor, faults=faults, retry=retry
             )
 
         return spec
@@ -511,7 +505,6 @@ class DeploymentCompiler:
         record_store: Optional[RecordStore] = None,
         progress: Optional[Callable[[TaskSpec, TuningResult], None]] = None,
         executor: ExecutorSpec = None,
-        measure_cache: Optional[MeasureCache] = None,
         faults: Optional[FaultModel] = None,
         retry: Optional[RetryPolicy] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -531,10 +524,10 @@ class DeploymentCompiler:
         ``trial_seed`` varies the tuner randomness across repeated
         trials while the environment stays fixed.  ``executor`` (an
         executor spec: ``None``, an instance, or a ``measurer ->
-        executor`` factory) and ``measure_cache`` select the
-        measurement backend the per-task tuners use (see
-        ``docs/EXECUTION.md``).  ``faults``/``retry`` inject
-        deterministic measurement faults with retry/backoff.
+        executor`` factory) selects the measurement backend the
+        per-task tuners use (see ``docs/EXECUTION.md``).
+        ``faults``/``retry`` inject deterministic measurement faults
+        with retry/backoff.
 
         Every compile runs its tasks through one
         :class:`~repro.fleet.FleetScheduler`.  ``fleet`` (a
@@ -652,8 +645,8 @@ class DeploymentCompiler:
                     trial_seed,
                     kwargs if plan is None else dict(kwargs, warm_start=plan),
                     self._executor_spec(
-                        executor, measure_cache=measure_cache,
-                        faults=home.fault_model(faults), retry=retry,
+                        executor, faults=home.fault_model(faults),
+                        retry=retry,
                     ),
                     done_path, ckpt_path, obs_path, observers[ftask.key],
                     resume, pipeline, home.device,
@@ -673,7 +666,7 @@ class DeploymentCompiler:
 
         scheduler = FleetScheduler(pool, run_task, jobs=fleet_jobs)
         try:
-            fleet_result = scheduler.run(
+            run = scheduler.run(
                 [FleetTask(key=key, seq=i) for i, key in enumerate(by_key)]
             )
         except FleetError as exc:
@@ -689,11 +682,11 @@ class DeploymentCompiler:
                 if served is None:
                     self._contribute(
                         tlog_db, sig, by_key[key], pool.home_of(i).device,
-                        fleet_result.results[key], run_key,
+                        run.results[key], run_key,
                     )
-        for report in fleet_result.reports:
+        for report in run.reports:
             report.measurements = sum(
-                fleet_result.results[key].num_measurements
+                run.results[key].num_measurements
                 for key in report.homed
             )
         results = {
@@ -703,7 +696,7 @@ class DeploymentCompiler:
             {task_id: r.best_index for task_id, r in results.items()}
         )
         compiled.tuning_results = results
-        compiled.fleet = fleet_result if fleet is not None else None
+        compiled.fleet = run if fleet is not None else None
         compiled.tlog_status = tlog_status
         return compiled
 

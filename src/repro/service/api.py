@@ -85,6 +85,8 @@ class TuningService:
         from repro.fleet.devices import parse_fleet
 
         parse_fleet(devices)  # fail fast on a bad service fleet spec
+        if fleet_jobs is not None and fleet_jobs < 1:
+            raise ValueError(f"fleet_jobs must be >= 1, got {fleet_jobs}")
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.data_dir / "jobs.sqlite")

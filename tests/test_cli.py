@@ -328,3 +328,75 @@ class TestFleetCommand:
         assert sum(
             entry["utilization"] for entry in report["by_class"].values()
         ) == pytest.approx(1.0, abs=1e-4)
+
+
+def _no_work(*_args, **_kwargs):
+    raise AssertionError("a bad number reached the command")
+
+
+#: (argv, the flag the parser must name); every one exits 2 with usage
+BAD_NUMBERS = [
+    (["tune", "--model", "squeezenet-v1.1", "--runs", "1"], "--runs"),
+    (["tune", "--model", "squeezenet-v1.1", "--budget", "0"], "--budget"),
+    (["fleet", "--model", "squeezenet-v1.1", "--runs", "1"], "--runs"),
+    (["fleet", "--model", "squeezenet-v1.1", "--budget", "-3"], "--budget"),
+    (["fleet", "--model", "squeezenet-v1.1", "--jobs", "0"], "--jobs"),
+    (
+        ["compile", "--model", "squeezenet-v1.1", "--tlog-dir", "db",
+         "--runs", "1"],
+        "--runs",
+    ),
+    (["experiment", "fig4", "--jobs", "0"], "--jobs"),
+    (["experiment", "fig4", "--scale", "0"], "--scale"),
+    (["experiment", "fig4", "--scale", "1.5"], "--scale"),
+    (["experiment", "fig5", "--scale", "nan"], "--scale"),
+    (["serve", "--data-dir", "svc", "--jobs", "0"], "--jobs"),
+]
+
+
+class TestBadNumbers:
+    @pytest.fixture(autouse=True)
+    def _forbid_work(self, monkeypatch, tmp_path):
+        import repro.cli
+        import repro.experiments.fig4
+        import repro.experiments.fig5
+        import repro.service
+
+        monkeypatch.setattr(repro.cli, "build_model", _no_work)
+        monkeypatch.setattr(repro.experiments.fig4, "build_model", _no_work)
+        monkeypatch.setattr(repro.experiments.fig5, "build_model", _no_work)
+        monkeypatch.setattr(repro.service, "TuningService", _no_work)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv,flag", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS]
+    )
+    def test_rejected_by_the_parser(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert f"argument {flag}: " in err
+
+    def test_smallest_good_numbers_parse(self):
+        parse = build_parser().parse_args
+        tune = parse(["tune", "--model", "alexnet", "--runs", "2",
+                      "--budget", "1"])
+        assert (tune.runs, tune.budget) == (2, 1)
+        fleet = parse(["fleet", "--model", "alexnet", "--jobs", "1"])
+        assert fleet.jobs == 1
+        exp = parse(["experiment", "fig4", "--scale", "1", "--jobs", "1"])
+        assert (exp.scale, exp.jobs) == (1.0, 1)
+        assert parse(["serve", "--data-dir", "d", "--jobs", "1"]).jobs == 1
+
+    def test_removed_flags_are_gone(self, capsys):
+        for argv in (
+            ["tune", "--model", "alexnet", "--measure-cache", "c.pkl"],
+            ["experiment", "fig4", "--measure-cache", "c.pkl"],
+            ["experiment", "fig4", "--fleet", "gtx1080ti,titanv"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

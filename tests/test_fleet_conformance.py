@@ -19,12 +19,8 @@ import json
 
 import pytest
 
-from repro.experiments.engine import ExperimentCell, ExperimentEngine
-from repro.experiments.settings import ExperimentSettings
 from repro.hardware.faults import FaultModel
-from repro.hardware.measure import SimulatedTask
 from repro.nn.graph import GraphBuilder
-from repro.nn.workloads import DenseWorkload
 from repro.obs import RunObservation
 from repro.pipeline.compiler import DeploymentCompiler
 from repro.pipeline.records import RecordStore
@@ -193,94 +189,3 @@ class TestCompilerConformance:
             r.device_class == "geforcegtx1080ti" for r in result.reports
         )
 
-
-def _cells():
-    task = SimulatedTask(
-        DenseWorkload(batch=1, in_features=64, out_features=48), seed=7
-    )
-    return [
-        ExperimentCell(
-            arm=arm, task=task, trial=trial, n_trial=12, key=(arm, trial)
-        )
-        for arm in ("random", "bted")
-        for trial in (0, 1)
-    ]
-
-
-def _traces(results):
-    return [
-        [(r.step, r.config_index, r.gflops, r.error) for r in res.records]
-        for res in results
-    ]
-
-
-@pytest.mark.slow
-class TestEngineConformance:
-    SETTINGS = ExperimentSettings(
-        init_size=6, batch_size=8, batch_candidates=24, early_stopping=None
-    )
-
-    def test_run_cells_fleet_equals_serial(self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        fleet_dir = tmp_path / "fleet"
-        with ExperimentEngine(
-            self.SETTINGS, summary_dir=str(serial_dir)
-        ) as engine:
-            serial = engine.run_cells(_cells())
-        with ExperimentEngine(
-            self.SETTINGS,
-            summary_dir=str(fleet_dir),
-            fleet="gtx1080ti,titanv,titanv",
-        ) as engine:
-            fleet = engine.run_cells(_cells())
-            assert engine.fleet_result is not None
-        assert _traces(fleet) == _traces(serial)
-        # per-cell summary files and the aggregate match byte-for-byte
-        # modulo wall-clock fields; compare the deterministic shell
-        serial_agg = json.loads((serial_dir / "summary.json").read_text())
-        fleet_agg = json.loads((fleet_dir / "summary.json").read_text())
-        for timing in ("proposal_s", "measure_s", "refit_s", "wall_s"):
-            serial_agg.pop(timing)
-            fleet_agg.pop(timing)
-            serial_agg["by_arm"] = {
-                k: {f: v for f, v in d.items() if f != "wall_s"}
-                for k, d in serial_agg["by_arm"].items()
-            }
-            fleet_agg["by_arm"] = {
-                k: {f: v for f, v in d.items() if f != "wall_s"}
-                for k, d in fleet_agg["by_arm"].items()
-            }
-        assert fleet_agg == serial_agg
-        # the scheduling report landed next to the summaries
-        report = json.loads((fleet_dir / "fleet.json").read_text())
-        assert report["tasks"] == 4
-        assert len(report["devices"]) == 3
-
-    def test_fleet_checkpoints_resume_under_device_dirs(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        with ExperimentEngine(
-            self.SETTINGS, checkpoint_dir=str(ckpt), fleet="gtx1080ti,titanv"
-        ) as engine:
-            first = engine.run_cells(_cells())
-        # per-device checkpoint subdirs, plus the scheduling report
-        # (no summary_dir, so fleet.json falls back to checkpoint_dir)
-        assert sorted(p.name for p in ckpt.iterdir()) == [
-            "device-00", "device-01", "fleet.json",
-        ]
-        done = sorted(ckpt.rglob("*.done"))
-        assert len(done) == 4
-        # a rerun with the same fleet loads every cell from its home
-        mtimes = {p: p.stat().st_mtime_ns for p in done}
-        with ExperimentEngine(
-            self.SETTINGS, checkpoint_dir=str(ckpt), fleet="gtx1080ti,titanv"
-        ) as engine:
-            second = engine.run_cells(_cells())
-        assert _traces(second) == _traces(first)
-        assert {p: p.stat().st_mtime_ns for p in done} == mtimes
-
-    def test_map_fleet_preserves_order(self):
-        with ExperimentEngine(
-            self.SETTINGS, fleet="gtx1080ti,gtx1080ti"
-        ) as engine:
-            out = engine.map(lambda x: x * 3, list(range(11)))
-        assert out == [i * 3 for i in range(11)]

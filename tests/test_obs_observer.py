@@ -6,8 +6,10 @@ and resumes from its checkpoint produces a :class:`RunSummary`
 uninterrupted run of the same configuration.
 """
 
+import dataclasses
 import json
 import logging
+import pickle
 
 import pytest
 
@@ -362,3 +364,157 @@ class TestEngineSummaries:
         assert agg["cells"] == 1
         assert agg["runs"] == 1
         assert agg["num_measurements"] == 32
+
+
+#: what observer state written before the measurement cache was removed
+#: carries on top of today's: two summary counts and two metric counters
+LEGACY_CACHE_COUNTS = {"cache_hits": 7, "cache_misses": 11}
+LEGACY_CACHE_METRICS = {
+    "cache_hits_total": {
+        "type": "counter", "help": "measurement cache hits",
+        "state": {"value": 7.0},
+    },
+    "cache_misses_total": {
+        "type": "counter", "help": "measurement cache misses",
+        "state": {"value": 11.0},
+    },
+}
+
+
+def _with_legacy_cache_entries(state: dict) -> dict:
+    """An observer state as the version with the cache wrote it."""
+    state = dict(state, **LEGACY_CACHE_COUNTS)
+    assert state["metrics"] is not None
+    state["metrics"] = dict(state["metrics"], **LEGACY_CACHE_METRICS)
+    return state
+
+
+class _CrashingObserver(TuningObserver):
+    """An observer sink that fails its tune after N events."""
+
+    def __init__(self, after: int):
+        super().__init__(enable_trace=False)
+        self.after = after
+        self.seen = 0
+
+    def __call__(self, tuner, event) -> None:
+        super().__call__(tuner, event)
+        self.seen += 1
+        if self.seen >= self.after:
+            raise RuntimeError("simulated crash")
+
+
+# checkpointed sink state is keyed by class name; a real crash leaves
+# ordinary observer state behind, so the crash shim must too
+_CrashingObserver.__name__ = "TuningObserver"
+
+
+class _CrashingObservation(RunObservation):
+    def __init__(self, crash_key: str, after: int):
+        super().__init__(enable_trace=False)
+        self._observers[crash_key] = _CrashingObserver(after)
+
+
+def _tiny_model():
+    from repro.nn.graph import GraphBuilder
+
+    b = GraphBuilder("legacy-obs")
+    b.input((1, 3, 16, 16))
+    b.conv2d("c1", 8, padding=(1, 1))
+    b.relu("r1")
+    b.conv2d("c2", 12, padding=(1, 1))
+    b.relu("r2")
+    b.flatten("f")
+    b.dense("fc", 10)
+    return b.graph
+
+
+def _compile(observation, ckpt_dir=None, resume=False):
+    """Records and per-task summaries of a small ``bted+bao`` compile."""
+    from repro.pipeline.compiler import DeploymentCompiler
+    from repro.pipeline.records import RecordStore
+
+    store = RecordStore()
+    DeploymentCompiler(_tiny_model(), env_seed=123).tune(
+        "bted+bao",
+        n_trial=20,
+        early_stopping=None,
+        tuner_kwargs=ARM_KWARGS["bted+bao"],
+        record_store=store,
+        checkpoint_dir=ckpt_dir,
+        resume=resume,
+        observation=observation,
+    )
+    summaries = {
+        key: observation.observer(key).summary().deterministic_dict()
+        for key in observation.keys()
+    }
+    return [r.to_json() for r in store], summaries
+
+
+class TestLegacyCacheState:
+    """Observer state written while the measurement cache existed."""
+
+    def test_state_with_cache_entries_loads(self, tmp_path, dense_task):
+        obs = TuningObserver()
+        tuner = make_tuner("bted", dense_task, seed=5, **ARM_KWARGS["bted"])
+        _crash_after(tuner, 1, tmp_path / "c.ckpt", 24, on_event=[obs])
+        state = _with_legacy_cache_entries(
+            json.loads(json.dumps(obs.state_dict()))
+        )
+        fresh = TuningObserver()
+        fresh.load_state_dict(state)
+        assert (
+            fresh.summary().deterministic_dict()
+            == obs.summary().deterministic_dict()
+        )
+        assert "cache_hits" not in fresh.summary().to_dict()
+        assert fresh.trace.span_skeletons() == obs.trace.span_skeletons()
+
+    def test_compile_resumes_from_legacy_states(self, tmp_path):
+        baseline = _compile(RunObservation(enable_trace=False))
+        ckpt = tmp_path / "ckpt"
+        # task 0 finishes; task 1 fails mid-tune with a checkpoint behind
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            _compile(_CrashingObservation("task-001", 12), ckpt)
+        finished = sorted(ckpt.glob("*.obs.json"))
+        assert [p.name for p in finished] == ["task-000.obs.json"]
+        for path in finished:
+            state = json.loads(path.read_text())
+            path.write_text(json.dumps(_with_legacy_cache_entries(state)))
+        from repro.core.checkpoint import TuningCheckpoint
+
+        ckpt_path = ckpt / "task-001.ckpt"
+        saved = TuningCheckpoint.load(ckpt_path)
+        payload = pickle.loads(saved.payload)
+        (sink,) = payload["sink_states"]
+        sink["state"] = _with_legacy_cache_entries(sink["state"])
+        dataclasses.replace(saved, payload=pickle.dumps(payload)).save(
+            ckpt_path
+        )
+        resumed = _compile(RunObservation(enable_trace=False), ckpt, True)
+        assert resumed == baseline
+
+    def test_aggregate_summary_dir_reads_cells_with_cache_keys(
+        self, tmp_path
+    ):
+        write_summary_json(
+            str(tmp_path / "cell-a.summary.json"),
+            dict(RunSummary(arm="bted", batches=2).to_dict(),
+                 **LEGACY_CACHE_COUNTS),
+        )
+        write_summary_json(
+            str(tmp_path / "cell-b.summary.json"),
+            {
+                "model": "m", "arm": "bted", "trial": 0,
+                "tasks": [
+                    dict(RunSummary(arm="bted", batches=4).to_dict(),
+                         **LEGACY_CACHE_COUNTS),
+                ],
+            },
+        )
+        agg = aggregate_summary_dir(str(tmp_path))
+        assert agg["cells"] == 2
+        assert agg["runs"] == 2
+        assert agg["batches"] == 6
+        assert not any(key.startswith("cache_") for key in agg)

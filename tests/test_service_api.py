@@ -434,6 +434,24 @@ class TestStopWakesTheRunner:
         assert elapsed < 2.0
 
 
+class TestConstruction:
+    """Bad service settings fail at construction, before any job."""
+
+    @pytest.mark.parametrize("fleet_jobs", [0, -2])
+    def test_nonpositive_fleet_jobs_rejected(self, tmp_path, fleet_jobs):
+        with pytest.raises(ValueError, match="fleet_jobs must be >= 1"):
+            TuningService(
+                tmp_path / "svc", port=0, devices=DEVICES,
+                fleet_jobs=fleet_jobs,
+            )
+        assert not (tmp_path / "svc").exists()
+
+    def test_bad_device_spec_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            TuningService(tmp_path / "svc", port=0, devices="")
+        assert not (tmp_path / "svc").exists()
+
+
 class TestHealth:
     def test_live_runner_reports_itself(self, client):
         deadline = time.monotonic() + 10.0
