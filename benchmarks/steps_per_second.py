@@ -4,19 +4,23 @@
 Times a full ``arm_bted_bao`` tuning run twice over the same budget and
 reports measurements per wall-second (steps/sec):
 
-* **serial** — the default configuration: ``pipeline=False`` with
-  from-scratch ensemble refits (``refit="full"``);
-* **pipelined** — ``pipeline=True`` (speculative proposal of batch
-  ``k+1`` overlapped with the measurement of batch ``k``) combined with
-  warm-started refits (``refit="incremental"``).
+* **serial** — the default configuration: no executor, so no
+  speculation, with from-scratch ensemble refits (``refit="full"``);
+* **pipelined** — measurement through a supplied executor, which makes
+  the tuner speculate (proposal of batch ``k+1`` overlapped with the
+  measurement of batch ``k``), combined with warm-started refits
+  (``refit="incremental"``).
 
 Because the simulated device answers in microseconds, measurement
-latency is emulated: :class:`HardwareEmulator` sleeps a fixed
-``--latency-ms`` per deployed configuration (real boards take tens of
-milliseconds to seconds per config), while the pickled clone used by
-the speculation thread predicts for free — exactly the asymmetry the
-pipeline exploits on hardware.  The sleep never touches results, so the
-measurement stream stays bit-identical to the plain measurer's.
+latency is emulated with a fixed ``--latency-ms`` per deployed
+configuration (real boards take tens of milliseconds to seconds per
+config).  The serial side sleeps in its measurer
+(:class:`HardwareEmulator`); the pipelined side sleeps in its executor
+(:class:`EmulatedBoard`, as the repo benchmark's board does), while the
+measurer clone used by the speculation thread predicts for free —
+exactly the asymmetry speculation exploits on hardware.  The sleep
+never touches results, so the measurement stream stays bit-identical to
+the plain measurer's.
 
 The cost model uses ``--rounds`` boosting rounds per ensemble member
 (48 by default — production cost models run far more rounds than the
@@ -30,7 +34,7 @@ Gates:
   gates at 1.5x to absorb runner noise); disable with ``--no-assert``.
 * **conformance** — unless ``--no-verify``, a third run (serial but
   incremental) must reproduce the pipelined run's record stream bit
-  for bit, pinning the speculate-validate-or-replay contract inside
+  for bit, pinning the speculate-validate-or-roll-back contract inside
   the benchmark itself.
 * **regression check** — ``--check BASELINE.json`` fails when the
   pipelined steps/sec fell below ``baseline / --threshold``.
@@ -44,12 +48,14 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.core.bao import BaoSettings
 from repro.core.events import EventLog, SpeculationResolved
 from repro.core.tuners.btedbao import BTEDBAOTuner
+from repro.hardware.executor import SerialExecutor
 from repro.hardware.measure import Measurer, SimulatedTask
 from repro.learning.gbt import GradientBoostedTrees
 from repro.nn.workloads import Conv2DWorkload
@@ -62,20 +68,14 @@ class HardwareEmulator(Measurer):
     """A :class:`Measurer` that charges a per-configuration latency.
 
     Wraps an existing measurer's state and sleeps ``latency_s`` before
-    each deployment, emulating a real board's round-trip time.  Pickled
-    copies — the clones the tuning loop hands to its speculation
-    thread — drop the latency, because speculation *predicts* the
-    deterministic result instead of deploying anything.
+    each deployment, emulating a real board's round-trip time for a
+    tuner that measures through its own measurer (and so never
+    speculates).
     """
 
     def __init__(self, base: Measurer, latency_s: float):
         self.__dict__.update(base.__dict__)
         self.latency_s = float(latency_s)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["latency_s"] = 0.0  # speculation clones predict for free
-        return state
 
     def measure_at(self, ordinal: int, config_index: int):
         if self.latency_s:
@@ -83,13 +83,29 @@ class HardwareEmulator(Measurer):
         return super().measure_at(ordinal, config_index)
 
 
+class EmulatedBoard(SerialExecutor):
+    """A serial executor that charges a fixed round-trip per configuration.
+
+    Handing a tuner an executor makes it speculate; the speculation
+    predicts with a clone of the plain measurer, so it pays no latency.
+    """
+
+    def __init__(self, measurer: Measurer, latency_s: float):
+        super().__init__(measurer)
+        self.latency_s = float(latency_s)
+
+    def measure_batch(self, config_indices):
+        time.sleep(self.latency_s * len(config_indices))
+        return super().measure_batch(config_indices)
+
+
 class ProductionScaleModels:
     """Boosted-tree factory with a configurable round count.
 
     Mirrors the ensemble's default factory but lets the benchmark dial
     the per-member boosting rounds up to production scale.  Must stay a
-    module-level class: the speculating tuning loop pickles the tuner (factory
-    included) every batch.
+    module-level class: the speculating tuning loop pickles the tuner
+    (factory included) every batch for its rollback snapshot.
     """
 
     def __init__(self, rounds: int, seed: int = 2024):
@@ -115,9 +131,14 @@ def _task():
     return SimulatedTask(workload, seed=0)
 
 
-def _run_arm(n_trial, latency_s, rounds, *, pipeline, refit):
-    """One full tuning run; returns (wall seconds, result, event log)."""
+def _run_arm(n_trial, latency_s, rounds, *, speculate, refit):
+    """One full tuning run; returns (wall seconds, result, event log).
+
+    ``speculate`` puts the latency in an executor, which makes the tuner
+    speculate; otherwise it sits in the tuner's own measurer.
+    """
     log = EventLog()
+    board = partial(EmulatedBoard, latency_s=latency_s) if speculate else None
     tuner = BTEDBAOTuner(
         _task(),
         seed=11,
@@ -127,13 +148,12 @@ def _run_arm(n_trial, latency_s, rounds, *, pipeline, refit):
         model_factory=ProductionScaleModels(rounds),
         refit=refit,
         bao_settings=BaoSettings(neighborhood_size=256),
+        executor=board,
     )
-    tuner.measurer = HardwareEmulator(tuner.measurer, latency_s)
+    if not speculate:
+        tuner.measurer = HardwareEmulator(tuner.measurer, latency_s)
     start = time.perf_counter()
-    result = tuner.tune(
-        n_trial=n_trial, early_stopping=None, on_event=[log],
-        pipeline=pipeline,
-    )
+    result = tuner.tune(n_trial=n_trial, early_stopping=None, on_event=[log])
     return time.perf_counter() - start, result, log
 
 
@@ -150,7 +170,7 @@ def bench_steps(n_trial, latency_s, rounds, repeats, verify):
     serial_s = float("inf")
     for _ in range(repeats):
         wall, _, _ = _run_arm(
-            n_trial, latency_s, rounds, pipeline=False, refit="full"
+            n_trial, latency_s, rounds, speculate=False, refit="full"
         )
         serial_s = min(serial_s, wall)
 
@@ -158,7 +178,7 @@ def bench_steps(n_trial, latency_s, rounds, repeats, verify):
     pipe_result = pipe_log = None
     for _ in range(repeats):
         wall, pipe_result, pipe_log = _run_arm(
-            n_trial, latency_s, rounds, pipeline=True, refit="incremental"
+            n_trial, latency_s, rounds, speculate=True, refit="incremental"
         )
         pipelined_s = min(pipelined_s, wall)
 
@@ -179,10 +199,10 @@ def bench_steps(n_trial, latency_s, rounds, repeats, verify):
     }
 
     if verify:
-        # the speculate-validate-or-replay contract: pipelined and
+        # the speculate-validate-or-roll-back contract: pipelined and
         # serial runs of the *same* refit mode share one record stream
         _, check_result, _ = _run_arm(
-            n_trial, latency_s, rounds, pipeline=False, refit="incremental"
+            n_trial, latency_s, rounds, speculate=False, refit="incremental"
         )
         matches = _trace(check_result) == _trace(pipe_result)
         entry["pipelined_matches_serial"] = matches

@@ -13,7 +13,9 @@ Run directly (used by CI)::
     python scripts/kill_and_resume.py [--arm bted] [--n-trial 32]
 
 ``--compile``, ``--fleet`` and ``--service`` kill a compile without
-a fleet, a fleet compile and the tuning service instead.
+a fleet, a fleet compile and the tuning service instead.  ``--pipeline``
+hands the killed tuner (and the resumed one) an executor, which makes
+it speculate.
 
 Exit code 0 means the determinism contract held.
 """
@@ -58,6 +60,7 @@ import sys, time
 sys.path.insert(0, {src!r})
 from repro.core import make_tuner
 from repro.core.checkpoint import CheckpointPolicy
+from repro.hardware.executor import SerialExecutor
 from repro.hardware.measure import SimulatedTask
 from repro.nn.workloads import DenseWorkload
 from repro.obs import TuningObserver
@@ -65,13 +68,12 @@ from repro.obs import TuningObserver
 task = SimulatedTask(
     DenseWorkload(batch=1, in_features=64, out_features=48), seed=7
 )
-tuner = make_tuner({arm!r}, task, seed=11, **{kwargs!r})
+tuner = make_tuner({arm!r}, task, seed=11, executor={executor}, **{kwargs!r})
 tuner.tune(
     n_trial={n_trial}, early_stopping=None,
     checkpoint=CheckpointPolicy(path={ckpt!r}, every=1),
     callbacks=[lambda t, results: time.sleep(0.2)],
     on_event=[TuningObserver()],
-    pipeline={pipeline!r},
 )
 print("CHILD-FINISHED")
 """
@@ -84,6 +86,7 @@ _RUNNER = """
 import json, sys
 sys.path.insert(0, {src!r})
 from repro.core import make_tuner
+from repro.hardware.executor import SerialExecutor
 from repro.hardware.measure import SimulatedTask
 from repro.nn.workloads import DenseWorkload
 from repro.obs import TuningObserver
@@ -91,10 +94,10 @@ from repro.obs import TuningObserver
 task = SimulatedTask(
     DenseWorkload(batch=1, in_features=64, out_features=48), seed=7
 )
-tuner = make_tuner({arm!r}, task, seed=11, **{kwargs!r})
+tuner = make_tuner({arm!r}, task, seed=11, executor={executor}, **{kwargs!r})
 observer = TuningObserver()
 if {resume!r}:
-    result = tuner.resume({ckpt!r}, on_event=[observer], pipeline={pipeline!r})
+    result = tuner.resume({ckpt!r}, on_event=[observer])
 else:
     result = tuner.tune(
         n_trial={n_trial}, early_stopping=None, on_event=[observer]
@@ -371,12 +374,18 @@ def _service_main(args) -> int:
         return 0
 
 
+def _executor(speculate: bool) -> str:
+    """The ``executor=`` a child tuner gets: one makes it speculate."""
+    return "SerialExecutor" if speculate else "None"
+
+
 def _run_trace(arm: str, kwargs: dict, n_trial: int, ckpt: str,
                resume: bool, trace_out: str = "",
-               pipeline: bool = False) -> dict:
+               speculate: bool = False) -> dict:
     code = _RUNNER.format(
         src=str(SRC), arm=arm, kwargs=kwargs, n_trial=n_trial,
-        ckpt=ckpt, resume=resume, trace_out=trace_out, pipeline=pipeline,
+        ckpt=ckpt, resume=resume, trace_out=trace_out,
+        executor=_executor(speculate),
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -537,10 +546,10 @@ def main() -> int:
                         help="fleet spec for --fleet (comma-separated "
                              "presets, optional :fault_rate suffixes)")
     parser.add_argument("--pipeline", action="store_true",
-                        help="run the killed child (and the resume) in "
-                             "pipelined mode; the baseline stays serial, "
-                             "so the comparison also pins cross-mode "
-                             "bit-identity")
+                        help="hand the killed child (and the resume) an "
+                             "executor, so they speculate; the baseline "
+                             "stays serial, so the comparison also pins "
+                             "cross-mode bit-identity")
     parser.add_argument("--service", action="store_true",
                         help="SIGKILL the whole tuning service (`repro "
                              "serve`) mid-job, restart it on the same "
@@ -573,12 +582,13 @@ def main() -> int:
         baseline = _run_trace(args.arm, kwargs, args.n_trial, ckpt,
                               resume=False)
 
-        mode = "pipelined " if args.pipeline else ""
+        mode = "speculating " if args.pipeline else ""
         print(f"[2/4] starting {mode}child with per-batch checkpointing")
         child = subprocess.Popen(
             [sys.executable, "-c", _CHILD.format(
                 src=str(SRC), arm=args.arm, kwargs=kwargs,
-                n_trial=args.n_trial, ckpt=ckpt, pipeline=args.pipeline,
+                n_trial=args.n_trial, ckpt=ckpt,
+                executor=_executor(args.pipeline),
             )],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
@@ -612,7 +622,7 @@ def main() -> int:
         print("[4/4] resuming in a fresh process and comparing")
         resumed = _run_trace(args.arm, kwargs, args.n_trial, ckpt,
                              resume=True, trace_out=args.trace_out or "",
-                             pipeline=args.pipeline)
+                             speculate=args.pipeline)
 
         if resumed != baseline:
             print("MISMATCH: resumed run diverged from the baseline",

@@ -119,8 +119,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         warm_start=args.warm_start,
         warm_k=args.warm_k,
         warm_device=args.warm_device,
-        pipeline=args.pipeline,
     )
+    # the records of a finished tune are saved before anything that
+    # could still fail (exports, the latency measurement)
+    if store is not None:
+        store.save(args.records)
     if observation is not None:
         if args.metrics_out:
             observation.write_metrics(args.metrics_out)
@@ -143,7 +146,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             f"{counts['cold']} cold -> {args.tlog_dir}"
         )
     if store is not None:
-        store.save(args.records)
         print(f"  records  : {len(store)} -> {args.records}")
     return 0
 
@@ -222,7 +224,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             warm_start=args.warm_start,
             warm_k=args.warm_k,
             warm_device=args.warm_device,
-            pipeline=args.pipeline,
         )
     except FleetError as exc:
         print(f"fleet aborted: {exc}", file=sys.stderr)
@@ -233,6 +234,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 1
+    # saved before the report, summary and latency steps can fail
+    if store is not None:
+        store.save(args.records)
 
     result = compiled.fleet
     print()
@@ -272,7 +276,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"{counts['cold']} cold -> {args.tlog_dir}"
         )
     if store is not None:
-        store.save(args.records)
         print(f"  records  : {len(store)} -> {args.records}")
     return 0
 
@@ -411,7 +414,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_quota=args.default_quota,
         tlog=not args.no_tlog,
         warm_start=args.warm_start,
-        pipeline=args.pipeline,
     )
     with service:
         # scripts parse this line to find an ephemeral (--port 0) port
@@ -528,13 +530,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_speed_args(parser: argparse.ArgumentParser) -> None:
-    """The tuning-throughput flags shared by tuning subcommands."""
-    parser.add_argument("--pipeline", action="store_true",
-                        help="overlap each batch's measurement with a "
-                             "speculative proposal of the next batch; "
-                             "records stay bit-identical to the serial "
-                             "loop (see docs/PERFORMANCE.md)")
+def _add_refit_arg(parser: argparse.ArgumentParser) -> None:
+    """The ``--refit`` flag shared by tuning subcommands."""
     parser.add_argument("--refit", choices=("full", "incremental"),
                         default="full",
                         help="surrogate-model refit strategy: 'full' "
@@ -665,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the per-run RunSummary JSON (best curve, "
                              "time breakdown, fault counts) here")
     _add_tlog_args(p_tune)
-    _add_speed_args(p_tune)
+    _add_refit_arg(p_tune)
     p_tune.set_defaults(func=_cmd_tune)
 
     p_compile = sub.add_parser(
@@ -730,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write one RunSummary file per device plus "
                               "the fleet-aggregated summary.json here")
     _add_tlog_args(p_fleet)
-    _add_speed_args(p_fleet)
+    _add_refit_arg(p_fleet)
     p_fleet.set_defaults(func=_cmd_fleet)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper result")
@@ -809,9 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--warm-start", action="store_true",
                          help="warm-start each job's tasks from the "
                               "shared tuning log")
-    p_serve.add_argument("--pipeline", action="store_true",
-                         help="overlap propose/measure inside each job "
-                              "(records stay bit-identical)")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(

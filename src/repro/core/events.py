@@ -217,13 +217,14 @@ class TlogExactHit(TuningEvent):
 class SpeculationResolved(TuningEvent):
     """The tuning loop resolved one speculative proposal.
 
-    Emitted only with speculation on (``pipeline=True``), after the
-    concurrent measurement lands: ``adopted=True`` means the
-    speculation's predicted results matched the real ones bit-for-bit
-    and its proposal was kept; ``adopted=False`` means it was discarded
-    and the loop proposed from the real state.  Filtered out when
-    comparing runs with speculation on and off (it is the only event
-    they don't share).
+    Emitted only by a tuner handed an ``executor=`` (the tuners that
+    speculate), after the concurrent measurement lands:
+    ``adopted=True`` means the speculation's predicted results matched
+    the real ones bit-for-bit and the state and proposal it left on
+    the tuner were kept; ``adopted=False`` means the pre-dispatch
+    snapshot was restored and the loop proposed from the real results.
+    Filtered out when comparing runs with speculation on and off (it is
+    the only event they don't share).
     """
 
     adopted: bool = True

@@ -10,9 +10,9 @@ Subclasses implement :meth:`Tuner._generate_initial` and
 :meth:`Tuner._generate_next`; the base class owns bookkeeping, the
 best-so-far curve, and stopping.  Measurement itself goes through a
 pluggable :class:`~repro.hardware.executor.MeasureExecutor` (serial by
-default, optionally cached or fault-injecting), and every decision
-point emits a structured :class:`~repro.core.events.TuningEvent`
-through the ``on_event`` callbacks.
+default, optionally fault-injecting), and every decision point emits a
+structured :class:`~repro.core.events.TuningEvent` through the
+``on_event`` callbacks.
 """
 
 from __future__ import annotations
@@ -121,18 +121,18 @@ class _PendingProposal:
 
 @dataclass
 class _Speculation:
-    """Everything a worker-thread speculation computed for one batch.
+    """What a worker-thread speculation did to the live tuner for one batch.
 
-    ``predicted`` is validated against the real measurement results;
-    on an exact match the clone's state, records, events, and next
-    proposal are adopted wholesale, otherwise the whole object is
-    discarded and the driving thread proposes from the real state.
+    ``predicted`` is validated against the real measurement results: on
+    an exact match the tuner keeps the state the speculation left and
+    the loop delivers the buffered events; otherwise it restores the
+    snapshot taken before dispatch and absorbs the real results.
     """
 
     predicted: List[MeasureResult]
-    clone: "Tuner"
     new_records: List[TrialRecord]
     absorb_events: List[TuningEvent]
+    policy_events: List[TuningEvent]
     next_batch: List[int]
     exhausted: bool
     captured: list
@@ -276,7 +276,9 @@ class Tuner:
     ``measurer -> MeasureExecutor`` factory, or a ready executor
     instance; any other value raises :class:`ValueError`.  The default
     is resolved lazily against :attr:`measurer` at each :meth:`tune`
-    call, so tests that swap the measurer keep working.
+    call, so tests that swap the measurer keep working.  A tuner handed
+    an executor speculates (see :meth:`tune`); one measuring through
+    its own in-process simulator never does.
 
     ``warm_start`` (a :class:`~repro.tlog.WarmStartPlan`, default off)
     injects prior tuning-log configurations at the head of the
@@ -547,7 +549,6 @@ TransferHistory`.  The injection happens once, inside the
         callbacks: Sequence[Callback] = (),
         on_event: Sequence[EventCallback] = (),
         checkpoint: CheckpointSpec = None,
-        pipeline: bool = False,
         _resume: Optional[dict] = None,
     ) -> TuningResult:
         """Run the active-learning loop and return the result.
@@ -567,22 +568,27 @@ TransferHistory`.  The injection happens once, inside the
         :meth:`resume`).
 
         Every batch runs through one loop: propose, measure, absorb,
-        emit, run callbacks, early-stop, checkpoint.  ``pipeline=True``
-        switches speculation on: while batch *k* is measured on this
-        thread, a worker thread runs the post-measure sequence — absorb
-        the (predicted) results, refit, propose batch *k+1* — against a
-        *clone* of the tuner, predicting the measurement results via the
+        emit, run callbacks, early-stop, checkpoint.  A tuner handed an
+        ``executor=`` speculates: while batch *k* is measured on this
+        thread, a worker thread runs the post-measure sequence on the
+        tuner itself — absorb the (predicted) results, refit, propose
+        batch *k+1* — predicting the measurement results via the
         ordinal-determinism of :class:`~repro.hardware.measure.Measurer`
-        (``measure_at`` is pure in ``(ordinal, config_index)``).  When
-        the real results come back they are compared against the
-        prediction: an exact match adopts the clone's state and its
-        proposal; any mismatch (fault injection, cache hits, a foreign
-        executor) discards the speculation and the loop proposes from
-        the untouched real state.  Records, RNG streams, events and
-        checkpoints are bit-identical with speculation on or off; the
-        only additions are :class:`~repro.core.events.SpeculationResolved`
-        events, the overlap wall-time they report, and the ``pending``
-        payload speculative checkpoints carry.
+        (``measure_at`` is pure in ``(ordinal, config_index)``).  Events,
+        policy events and hook notifications are buffered meanwhile.
+        When the real results come back they are compared against the
+        prediction: an exact match keeps the speculated state and its
+        proposal and delivers the buffered events; any mismatch (fault
+        injection, a foreign executor), a speculation that raised, or a
+        ``measure_batch`` that raised restores the state pickled before
+        dispatch, and the loop proposes from the real results.  Records,
+        RNG streams, events and checkpoints are bit-identical with
+        speculation on or off; the only additions are
+        :class:`~repro.core.events.SpeculationResolved` events, the
+        overlap wall-time they report, and the ``pending`` payload
+        speculative checkpoints carry.  A tuner measuring through its
+        own in-process simulator has nothing to overlap and never
+        speculates; the worker thread starts at the first dispatch.
         """
         if n_trial <= 0:
             raise ValueError("n_trial must be positive")
@@ -605,6 +611,7 @@ TransferHistory`.  The injection happens once, inside the
             initialized = False
         stop = False
         executor = self.executor
+        speculate = self._executor is not None
         self._event_sinks = tuple(on_event)
         self._pending_events.clear()
         batches_since_checkpoint = 0
@@ -631,7 +638,7 @@ TransferHistory`.  The injection happens once, inside the
                 )
             if resume_pending is not None:
                 # a speculative checkpoint carries an already-proposed
-                # batch; consuming it first needs speculation on
+                # batch: it is consumed first, speculating or not
                 current = _PendingProposal(
                     batch=[int(i) for i in resume_pending["batch"]],
                     proposal_s=float(resume_pending["proposal_s"]),
@@ -642,19 +649,6 @@ TransferHistory`.  The injection happens once, inside the
                     resume_pending.get("events") or ()
                 )
                 initialized = True
-                pipeline = True
-            if pipeline:
-                # the speculation measurer is a clone synced to the
-                # executor's pre-batch ordinal each dispatch; prediction
-                # never advances the real measurement stream
-                spec_measurer: Measurer = pickle.loads(
-                    pickle.dumps(
-                        self.measurer, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                )
-                pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"{self.name}-speculate"
-                )
             while not stop and len(records) < n_trial:
                 if current is None:
                     proposal_start = time.perf_counter()
@@ -696,22 +690,30 @@ TransferHistory`.  The injection happens once, inside the
                 )
                 # dispatch the speculative proposal of batch k+1 before
                 # measuring batch k; skip it when this batch already
-                # fills the budget.  The state snapshot is taken here,
-                # on the driving thread, so it is exactly the real
+                # fills the budget.  The rollback snapshot is pickled
+                # here, on the driving thread, so it is exactly the real
                 # state at this point of the loop.
-                future = None
-                if pool is not None and len(records) + len(batch) < n_trial:
-                    state_bytes = pickle.dumps(
-                        {
-                            key: value
-                            for key, value in self.__dict__.items()
-                            if key not in _EPHEMERAL_STATE
-                        },
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
+                future = rollback = None
+                if speculate and len(records) + len(batch) < n_trial:
+                    rollback = self._rollback_snapshot()
+                    speculate = rollback is not None
+                if rollback is not None:
+                    if pool is None:
+                        # the prediction measurer is a clone synced to
+                        # the executor's pre-batch ordinal each dispatch;
+                        # prediction never advances the real stream
+                        spec_measurer: Measurer = pickle.loads(
+                            pickle.dumps(
+                                self.measurer,
+                                protocol=pickle.HIGHEST_PROTOCOL,
+                            )
+                        )
+                        pool = ThreadPoolExecutor(
+                            max_workers=1,
+                            thread_name_prefix=f"{self.name}-speculate",
+                        )
                     future = pool.submit(
                         self._speculate,
-                        state_bytes,
                         spec_measurer,
                         list(records),
                         list(batch),
@@ -719,7 +721,14 @@ TransferHistory`.  The injection happens once, inside the
                         n_trial,
                     )
                 measure_start = time.perf_counter()
-                results = executor.measure_batch(batch)
+                try:
+                    results = executor.measure_batch(batch)
+                except BaseException:
+                    if future is not None:
+                        # let the speculation finish, then undo it
+                        future.exception()
+                        self.__dict__.update(pickle.loads(rollback))
+                    raise
                 measure_s = time.perf_counter() - measure_start
                 spec: Optional[_Speculation] = None
                 if future is not None:
@@ -734,7 +743,12 @@ TransferHistory`.  The injection happens once, inside the
                 adopted = spec is not None and spec.predicted == results
                 if adopted:
                     new_records = spec.new_records
-                    self._adopt_speculation(spec, records)
+                    records.extend(new_records)
+                    # already counted by _emit on the worker thread
+                    for event in spec.absorb_events:
+                        for sink in self._event_sinks:
+                            sink(self, event)
+                    self._pending_events.extend(spec.policy_events)
                     current = _PendingProposal(
                         batch=spec.next_batch,
                         proposal_s=spec.proposal_s,
@@ -742,6 +756,8 @@ TransferHistory`.  The injection happens once, inside the
                         captured=spec.captured,
                     )
                 else:
+                    if future is not None:
+                        self.__dict__.update(pickle.loads(rollback))
                     new_records = self._absorb(results, records)
                 if spec is not None:
                     self._emit(
@@ -831,56 +847,79 @@ TransferHistory`.  The injection happens once, inside the
             self._generate_next()
         ) or self._random_unvisited(self.batch_size)
 
+    def _resumable_state(self) -> dict:
+        """The tuner attributes a checkpoint or a rollback restores."""
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in _EPHEMERAL_STATE
+        }
+
+    def _rollback_snapshot(self) -> Optional[bytes]:
+        """The resumable state pickled, or ``None`` when it won't pickle.
+
+        A tuner built around an unpicklable object (say, a lambda model
+        factory) cannot be rolled back, so it measures without
+        speculation — with a warning, since it loses the overlap.
+        """
+        try:
+            return pickle.dumps(
+                self._resumable_state(), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        except (pickle.PicklingError, TypeError, AttributeError):
+            logger.warning(
+                "%s: tuner state does not pickle; measuring without "
+                "speculation",
+                self.name,
+                exc_info=True,
+            )
+            return None
+
     def _speculate(
         self,
-        state_bytes: bytes,
         spec_measurer: Measurer,
         records: List[TrialRecord],
         batch: List[int],
         ordinal: int,
         n_trial: int,
     ) -> _Speculation:
-        """Worker-thread body: predict batch results, propose the next batch.
+        """Worker-thread body: predict batch results, absorb, propose next.
 
-        Runs entirely against a clone built from ``state_bytes`` (the
-        driving thread's pre-measure snapshot) plus the shared
-        speculation measurer resynced to the executor's pre-batch
-        ordinal, so nothing here can touch the real tuner.  Hook
-        notifications fired by the clone's refits are captured (this
-        thread has a capture active for its whole body) and replayed on
-        the driving thread only if the speculation is adopted.
+        Runs on the live tuner while the driving thread measures
+        ``batch``; that thread touches no tuner state until this
+        returns.  The prediction comes from the speculation measurer
+        resynced to the executor's pre-batch ordinal.  The event sinks
+        and the policy-event queue are swapped for buffers, and hook
+        notifications fired by the refits are captured (this thread has
+        a capture active for its whole body), so nothing reaches an
+        observer unless the driving thread adopts the speculation.
         """
         t0 = time.perf_counter()
+        absorb_events: List[TuningEvent] = []
+        sinks, queued = self._event_sinks, self._pending_events
+        self._event_sinks = (
+            lambda _tuner, event: absorb_events.append(event),
+        )
+        self._pending_events = []
         captured = hooks.capture_begin()
         try:
             spec_measurer.num_measurements = ordinal
             predicted = spec_measurer.measure_batch(batch)
-
-            clone: Tuner = object.__new__(type(self))
-            clone.__dict__.update(pickle.loads(state_bytes))
-            clone.task = self.task
-            clone.measurer = spec_measurer
-            clone._executor = None
-            clone._executor_spec = None
-            clone._pending_events = []
-            absorb_events: List[TuningEvent] = []
-            clone._event_sinks = (
-                lambda _tuner, event: absorb_events.append(event),
-            )
-
-            new_records = clone._absorb(predicted, records)
+            new_records = self._absorb(predicted, records)
             proposal_start = time.perf_counter()
-            next_batch = clone._propose_next()
+            next_batch = self._propose_next()
             exhausted = not next_batch
             next_batch = next_batch[: n_trial - len(records)]
             proposal_s = time.perf_counter() - proposal_start
+            policy_events = self._pending_events
         finally:
             hooks.capture_end(captured)
+            self._event_sinks, self._pending_events = sinks, queued
         return _Speculation(
             predicted=predicted,
-            clone=clone,
             new_records=new_records,
             absorb_events=absorb_events,
+            policy_events=policy_events,
             next_batch=next_batch,
             exhausted=exhausted,
             captured=captured,
@@ -888,39 +927,15 @@ TransferHistory`.  The injection happens once, inside the
             wall_s=time.perf_counter() - t0,
         )
 
-    def _adopt_speculation(
-        self, spec: _Speculation, records: List[TrialRecord]
-    ) -> None:
-        """Make a validated speculation's state the real tuner state.
-
-        The clone's non-ephemeral attributes *are* the real
-        post-absorb, post-propose state (its inputs were validated
-        bit-identical), so they are adopted wholesale — including
-        ``event_counts``, which already includes the absorb-time events.
-        Those buffered events are then delivered straight to the real
-        sinks (bypassing :meth:`_emit`, which would double-count them),
-        and the clone's queued policy events transfer to the pending
-        queue, to be flushed when its proposal is consumed.
-        """
-        clone = spec.clone
-        for key, value in clone.__dict__.items():
-            if key not in _EPHEMERAL_STATE:
-                setattr(self, key, value)
-        self._pending_events.extend(clone._pending_events)
-        records.extend(spec.new_records)
-        for event in spec.absorb_events:
-            for sink in self._event_sinks:
-                sink(self, event)
-
     def _pending_payload(
         self, current: Optional[_PendingProposal]
     ) -> Optional[dict]:
         """Checkpoint payload for an adopted-but-unconsumed proposal.
 
-        ``events`` carries the clone's queued policy events: they are
-        ephemeral on the tuner (cleared by :meth:`tune`), so a run
-        resumed with speculation on restores them from here before
-        consuming the pending batch.
+        ``events`` carries the speculation's queued policy events: they
+        are ephemeral on the tuner (cleared by :meth:`tune`), so a
+        resumed run restores them from here before consuming the
+        pending batch.
         """
         if current is None:
             return None
@@ -958,18 +973,13 @@ TransferHistory`.  The injection happens once, inside the
         constructor arguments, so :meth:`resume` rebuilds them from the
         resuming tuner and validates identity via the task fingerprint.
 
-        ``pending`` (runs with speculation on only) is the
+        ``pending`` (speculating runs only) is the
         adopted-but-unconsumed speculative proposal from
-        :meth:`Tuner._pending_payload`; resuming a checkpoint that
-        carries one resumes with speculation on automatically.
+        :meth:`Tuner._pending_payload`; a resume consumes it first,
+        whether or not the resuming tuner speculates.
         """
-        state = {
-            key: value
-            for key, value in self.__dict__.items()
-            if key not in _EPHEMERAL_STATE
-        }
         payload_dict = {
-            "tuner_state": state,
+            "tuner_state": self._resumable_state(),
             "measured_ordinal": self.executor.num_measurements,
             "records": list(records),
             "stopper": (
@@ -1004,7 +1014,6 @@ TransferHistory`.  The injection happens once, inside the
         checkpoint: CheckpointSpec = _UNSET,  # type: ignore[assignment]
         n_trial: Optional[int] = None,
         early_stopping: Union[Optional[int], object] = _UNSET,
-        pipeline: bool = False,
     ) -> TuningResult:
         """Continue a checkpointed run as if it had never stopped.
 
@@ -1018,12 +1027,10 @@ TransferHistory`.  The injection happens once, inside the
 
         The continuation is bit-identical: the resumed result carries
         the full record log (restored prefix plus new measurements) and
-        the same final incumbent as an uninterrupted run.
-
-        ``pipeline`` resumes with speculation on; it is forced on when
-        the checkpoint carries a pending speculative proposal (written
-        by a run with speculation on), so fleet/CLI resume paths need
-        no extra plumbing to resume ``pipeline=True`` runs.
+        the same final incumbent as an uninterrupted run.  Whether the
+        continuation speculates follows this tuner's ``executor=``, as in
+        :meth:`tune`; a pending speculative proposal in the checkpoint is
+        consumed either way.
         """
         if isinstance(source, TuningCheckpoint):
             ckpt = source
@@ -1055,7 +1062,6 @@ TransferHistory`.  The injection happens once, inside the
             callbacks=callbacks,
             on_event=on_event,
             checkpoint=spec,
-            pipeline=pipeline,
             _resume={
                 "records": payload["records"],
                 "stopper": payload["stopper"],

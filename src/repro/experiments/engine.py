@@ -65,12 +65,19 @@ class ExperimentCell:
     key: Tuple = field(default=())
 
 
-def _cell_slug(cell: ExperimentCell) -> str:
-    """Stable, filesystem-safe identifier for one cell."""
-    return re.sub(
-        r"[^A-Za-z0-9._+-]+", "_",
-        f"{cell.arm}-{cell.task.name}-t{cell.trial}",
-    )
+def cell_slug(*coords: object) -> str:
+    """Stable, filesystem-safe identifier for one grid cell.
+
+    The engine's cells are ``(arm, task, "t<trial>")`` and Table I's
+    ``(model, arm, "t<trial>")``; both grids name a cell's files after
+    this slug (see :func:`cell_summary_name`).
+    """
+    return re.sub(r"[^A-Za-z0-9._+-]+", "_", "-".join(map(str, coords)))
+
+
+def cell_summary_name(slug: str) -> str:
+    """The RunSummary file of the cell with ``slug``."""
+    return f"cell-{slug}.summary.json"
 
 
 def _under(root: Optional[Path], name: str) -> Optional[str]:
@@ -196,15 +203,13 @@ class ExperimentEngine:
         pending: List[int] = []
         payloads = []
         for i, cell in enumerate(cells):
-            slug = _cell_slug(cell)
+            slug = cell_slug(cell.arm, cell.task.name, f"t{cell.trial}")
             done_path = _under(self.checkpoint_dir, f"cell-{slug}.done")
             if done_path is not None and Path(done_path).exists():
                 with open(done_path, "rb") as fh:
                     results[i] = pickle.load(fh)
                 continue
-            summary_path = _under(
-                self.summary_dir, f"cell-{slug}.summary.json"
-            )
+            summary_path = _under(self.summary_dir, cell_summary_name(slug))
             pending.append(i)
             payloads.append((cell, self.settings, done_path, summary_path))
         logger.info(

@@ -11,14 +11,17 @@ full framework).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.engine import ExperimentEngine
+from repro.experiments.engine import (
+    ExperimentEngine,
+    cell_slug,
+    cell_summary_name,
+)
 from repro.experiments.runner import format_table
 from repro.experiments.settings import ARMS, ExperimentSettings, PAPER_SETTINGS
 from repro.hardware.device import GTX_1080_TI, GpuDevice
@@ -188,10 +191,8 @@ def run_table1(
     def cell_summary_path(model_name: str, arm: str, trial: int):
         if summary_root is None:
             return None
-        slug = re.sub(
-            r"[^A-Za-z0-9._+-]+", "_", f"{model_name}-{arm}-t{trial}"
-        )
-        return str(summary_root / f"cell-{slug}.summary.json")
+        slug = cell_slug(model_name, arm, f"t{trial}")
+        return str(summary_root / cell_summary_name(slug))
 
     payloads = [
         (

@@ -56,12 +56,11 @@ def _capture_buffer():
 def capture_begin() -> list:
     """Start buffering this thread's notifications instead of delivering.
 
-    Used by the pipelined tuner's speculation step: a speculative
-    proposal runs its refits on a worker thread, and the notifications
-    they would fire must be (a) recorded even though no hooks are
-    registered on that thread, and (b) delivered exactly once — on the
-    driving thread if the speculation is adopted, never if it is
-    replayed.  Returns the buffer to pass to :func:`capture_end` /
+    Used by the tuner's speculation step: a speculative proposal runs
+    its refits on a worker thread, and the notifications they would
+    fire must be (a) recorded even though no hooks are registered on
+    that thread, and (b) delivered exactly once — on the driving thread
+    if the speculation is adopted, never if it is rolled back.  Returns the buffer to pass to :func:`capture_end` /
     :func:`replay_captured`.  Nested captures are not supported.
     """
     if _capture_buffer() is not None:

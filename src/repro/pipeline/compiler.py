@@ -395,7 +395,6 @@ class DeploymentCompiler:
         obs_path: Optional[Path],
         observer,
         resume: bool,
-        pipeline: bool,
         device: GpuDevice,
     ) -> TuningResult:
         """Tune (or restore) one task — the unit every fleet slot runs.
@@ -437,16 +436,13 @@ class DeploymentCompiler:
                     self.graph.name, spec.task_id + 1, tuner_name,
                     ckpt_path,
                 )
-                result = tuner.resume(
-                    ckpt_path, on_event=sinks, pipeline=pipeline
-                )
+                result = tuner.resume(ckpt_path, on_event=sinks)
             else:
                 result = tuner.tune(
                     n_trial=n_trial,
                     early_stopping=early_stopping,
                     checkpoint=ckpt_path,
                     on_event=sinks,
-                    pipeline=pipeline,
                 )
         finally:
             tuner.shutdown()
@@ -517,7 +513,6 @@ class DeploymentCompiler:
         warm_k: int = 16,
         serve_hits: bool = True,
         warm_device: str = "any",
-        pipeline: bool = False,
     ) -> CompiledModel:
         """Tune every task with arm ``tuner_name`` and compile.
 
@@ -591,10 +586,11 @@ class DeploymentCompiler:
         ``tlog=None`` compiles are bit-identical to builds without
         tuning-log support.
 
-        ``pipeline=True`` tunes each task with speculation on
-        (measurement overlapped with speculative proposal, see
-        :meth:`repro.core.Tuner.tune`); records and summaries stay
-        bit-identical.
+        A task whose tuner measures through an executor — ``executor``
+        given, or the fault/retry wrapper ``faults``/``retry`` build —
+        overlaps each batch's measurement with a speculative proposal
+        of the next (see :meth:`repro.core.Tuner.tune`); records and
+        summaries stay bit-identical.
         """
         kwargs = dict(tuner_kwargs or {})
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -649,7 +645,7 @@ class DeploymentCompiler:
                         retry=retry,
                     ),
                     done_path, ckpt_path, obs_path, observers[ftask.key],
-                    resume, pipeline, home.device,
+                    resume, home.device,
                 )
                 name = tuner_name
             # hand tasks on in task order, each as soon as it and every

@@ -79,7 +79,6 @@ class TuningService:
         default_quota: int = 8,
         tlog: bool = True,
         warm_start: bool = False,
-        pipeline: bool = False,
         start_runner: bool = True,
     ):
         from repro.fleet.devices import parse_fleet
@@ -101,7 +100,6 @@ class TuningService:
             fleet_jobs=fleet_jobs,
             tlog=tlog,
             warm_start=warm_start,
-            pipeline=pipeline,
         )
         self.devices = devices
         self._start_runner = start_runner

@@ -148,7 +148,6 @@ class JobRunner:
         fleet_jobs: Optional[int] = None,
         tlog: bool = True,
         warm_start: bool = False,
-        pipeline: bool = False,
         poll_interval_s: float = 0.05,
     ):
         self.store = store
@@ -158,7 +157,6 @@ class JobRunner:
         self.fleet_jobs = fleet_jobs
         self.tlog = tlog
         self.warm_start = warm_start
-        self.pipeline = pipeline
         self.poll_interval_s = poll_interval_s
         self._feeds: Dict[str, ProgressFeed] = {}
         self._feeds_lock = threading.Lock()
@@ -356,7 +354,6 @@ class JobRunner:
             fleet_jobs=self.fleet_jobs,
             tlog=str(tlog_dir) if tlog_dir is not None else None,
             warm_start=self.warm_start,
-            pipeline=self.pipeline,
         )
         if compiled.fleet is not None:
             measurements = {

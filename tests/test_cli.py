@@ -34,6 +34,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig9"])
 
+    def test_pipeline_flag_is_gone(self, capsys):
+        # speculation follows from measuring through an executor
+        for argv in (
+            ["tune", "--model", "alexnet", "--pipeline"],
+            ["fleet", "--model", "alexnet", "--pipeline"],
+            ["serve", "--data-dir", "d", "--pipeline"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_models(self, capsys):
@@ -62,6 +74,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "latency" in out
         assert records.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "fleet"])
+    def test_records_survive_a_failing_latency_step(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        from repro.nn.zoo import build_model
+        from repro.pipeline.compiler import CompiledModel, DeploymentCompiler
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("latency step failed")
+
+        monkeypatch.setattr(CompiledModel, "measure_latency", broken)
+        records = tmp_path / "records.jsonl"
+        with pytest.raises(RuntimeError, match="latency step failed"):
+            main([
+                command,
+                "--model", "squeezenet-v1.1",
+                "--arm", "random",
+                "--budget", "8",
+                "--records", str(records),
+            ])
+        lines = records.read_text().splitlines()
+        tasks = DeploymentCompiler(build_model("squeezenet-v1.1")).tasks
+        assert len(lines) == 8 * len(tasks)
+        assert all(json.loads(line)["tuner"] == "random" for line in lines)
 
     def test_tune_resume_requires_checkpoint_dir(self, capsys):
         code = main([

@@ -16,7 +16,7 @@ from repro.experiments.engine import ExperimentCell, ExperimentEngine
 from repro.experiments.settings import ExperimentSettings
 from repro.hardware.measure import SimulatedTask
 from repro.nn.workloads import DenseWorkload
-from repro.obs import DURATION_FIELDS
+from repro.obs import DURATION_FIELDS, write_summary_json
 
 SETTINGS = ExperimentSettings(
     init_size=6, batch_size=8, batch_candidates=24, early_stopping=None
@@ -129,3 +129,48 @@ class TestEngineJobs:
         with ExperimentEngine(SETTINGS, jobs=2) as engine:
             out = engine.map(abs, [-i for i in range(11)])
         assert out == list(range(11))
+
+
+class TestCellFileNames:
+    """Both grids name a cell's files through one slug rule."""
+
+    def test_engine_grid(self, tmp_path):
+        ckpt, summaries = tmp_path / "ckpt", tmp_path / "summaries"
+        _run(1, ckpt, summaries)
+        # the task is named "dense@dense_48": "@" is not kept
+        slugs = [
+            f"{arm}-dense_dense_48-t{trial}"
+            for arm in ("bted", "random")
+            for trial in (0, 1)
+        ]
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            f"cell-{slug}.done" for slug in slugs
+        ]
+        assert sorted(p.name for p in summaries.iterdir()) == [
+            f"cell-{slug}.summary.json" for slug in slugs
+        ] + ["summary.json"]
+
+    def test_table1_grid(self, tmp_path, monkeypatch):
+        import repro.experiments.table1 as table1
+
+        def cell(payload):
+            model, arm, trial, _settings, _device, summary_path = payload
+            write_summary_json(
+                summary_path,
+                {"model": model, "arm": arm, "trial": trial, "tasks": []},
+            )
+            return 1.0, 0.1
+
+        monkeypatch.setattr(table1, "_table1_cell", cell)
+        table1.run_table1(
+            models=("resnet-18", "my net/v2"),
+            arms=("autotvm", "bted+bao"),
+            num_trials=2,
+            summary_dir=str(tmp_path),
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"cell-{model}-{arm}-t{trial}.summary.json"
+            for model in ("resnet-18", "my_net_v2")
+            for arm in ("autotvm", "bted+bao")
+            for trial in (0, 1)
+        ) + ["summary.json"]

@@ -19,6 +19,8 @@ import json
 
 import pytest
 
+from repro.core.tuner import Tuner
+from repro.hardware.executor import SerialExecutor
 from repro.hardware.faults import FaultModel
 from repro.nn.graph import GraphBuilder
 from repro.obs import RunObservation
@@ -75,7 +77,7 @@ def _model():
     return b.graph
 
 
-def _run(arm, fault_rate, fleet=None, fleet_jobs=None, pipeline=False):
+def _run(arm, fault_rate, fleet=None, fleet_jobs=None, executor=None):
     """One compile; returns (records, per-task deterministic summaries)."""
     faults = (
         FaultModel(rate=fault_rate, seed=FAULT_SEED) if fault_rate else None
@@ -94,7 +96,7 @@ def _run(arm, fault_rate, fleet=None, fleet_jobs=None, pipeline=False):
         observation=observation,
         fleet=fleet,
         fleet_jobs=fleet_jobs,
-        pipeline=pipeline,
+        executor=executor,
     )
     records = [json.loads(r.to_json()) for r in store]
     summaries = {
@@ -137,18 +139,23 @@ class TestCompilerConformance:
         assert summaries == base_summaries
 
     @pytest.mark.parametrize("arm", ("bted", "bted+bao"))
-    def test_pipelined_fleet_equals_serial(self, arm):
-        """pipeline=True composes with fleet sharding and faults.
+    def test_pipelined_fleet_equals_serial(self, arm, monkeypatch):
+        """Speculation composes with fleet sharding and faults.
 
-        The speculative loop validates predicted results against the
-        real (fault-retried) measurements, so even under injected
-        faults the pipelined fleet must reproduce the serial baseline's
-        records and deterministic summaries bit for bit.
+        A compile with ``executor=`` (here a plain ``SerialExecutor``
+        under the fault wrapper) speculates.  The speculative loop
+        validates predicted results against the real (fault-retried)
+        measurements, so even under injected faults the speculating
+        fleet must reproduce the records and deterministic summaries of
+        a serial compile that never speculates (its rollback snapshot
+        is stubbed out, the path an unpicklable tuner takes).
         """
         records, summaries = _run(
-            arm, 0.25, fleet=FLEETS[2], fleet_jobs=2, pipeline=True
+            arm, 0.25, fleet=FLEETS[2], fleet_jobs=2,
+            executor=SerialExecutor,
         )
-        base_records, base_summaries = _baseline(arm, 0.25)
+        monkeypatch.setattr(Tuner, "_rollback_snapshot", lambda self: None)
+        base_records, base_summaries = _run(arm, 0.25)
         assert records == base_records
         assert summaries == base_summaries
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import INCREMENTAL_REFIT_ARMS, make_tuner
+from repro.hardware.executor import SerialExecutor
 from repro.hardware.measure import SimulatedTask
 from repro.nn.workloads import DenseWorkload
 
@@ -50,9 +51,10 @@ N_TRIAL = 24
 TUNER_SEED = 11
 ENV_SEED = 7
 
-#: arms that also get a pipelined + warm-started-refit golden: the
-#: speculative loop and incremental ensemble fits follow a different
-#: (but equally pinned) trajectory, including the speculation schedule
+#: arms that also get a speculating + warm-started-refit golden: the
+#: speculative loop (switched on by handing the tuner an executor) and
+#: incremental ensemble fits follow a different (but equally pinned)
+#: trajectory, including the speculation schedule
 PIPELINED_ARMS = sorted(set(ARMS) & INCREMENTAL_REFIT_ARMS)
 
 
@@ -63,17 +65,16 @@ def _task() -> SimulatedTask:
     )
 
 
-def _run_trace(arm: str, pipeline: bool = False) -> dict:
+def _run_trace(arm: str, speculate: bool = False) -> dict:
     events = []
     kwargs = dict(ARMS[arm])
-    if pipeline:
-        kwargs["refit"] = "incremental"
+    if speculate:
+        kwargs.update(refit="incremental", executor=SerialExecutor)
     tuner = make_tuner(arm, _task(), seed=TUNER_SEED, **kwargs)
     result = tuner.tune(
         n_trial=N_TRIAL,
         early_stopping=None,
         on_event=[lambda t, e: events.append(e)],
-        pipeline=pipeline,
     )
     return {
         "arm": arm,
@@ -98,8 +99,8 @@ def _run_trace(arm: str, pipeline: bool = False) -> dict:
     }
 
 
-def _golden_path(arm: str, pipeline: bool = False) -> Path:
-    suffix = "-incremental" if pipeline else ""
+def _golden_path(arm: str, speculate: bool = False) -> Path:
+    suffix = "-incremental" if speculate else ""
     return GOLDEN_DIR / f"trace-{arm.replace('+', '_')}{suffix}.json"
 
 
@@ -126,13 +127,13 @@ def test_golden_trace(arm, update_golden):
 
 @pytest.mark.parametrize("arm", PIPELINED_ARMS)
 def test_golden_trace_pipelined_incremental(arm, update_golden):
-    """The speedup mode's own goldens: pipeline=True, refit='incremental'.
+    """The speedup mode's own goldens: an executor, refit='incremental'.
 
     Pins the warm-started-refit trajectory *and* the speculation
     schedule (``speculation_resolved`` events appear in the stream).
     """
-    trace = _run_trace(arm, pipeline=True)
-    _check_golden(trace, _golden_path(arm, pipeline=True), update_golden)
+    trace = _run_trace(arm, speculate=True)
+    _check_golden(trace, _golden_path(arm, speculate=True), update_golden)
 
 
 def test_golden_fixtures_complete():
@@ -141,6 +142,6 @@ def test_golden_fixtures_complete():
     missing += [
         f"{arm}-incremental"
         for arm in PIPELINED_ARMS
-        if not _golden_path(arm, pipeline=True).exists()
+        if not _golden_path(arm, speculate=True).exists()
     ]
     assert not missing, f"missing golden fixtures for {missing}"
