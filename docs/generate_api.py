@@ -25,6 +25,8 @@ MODULES = [
     "repro.core.bao", "repro.core.droplet", "repro.core.adaptive",
     "repro.core.tuner", "repro.core.tuners",
     "repro.core.callbacks", "repro.core.events",
+    "repro.obs", "repro.obs.hooks", "repro.obs.metrics", "repro.obs.trace",
+    "repro.obs.summary", "repro.obs.observer",
     "repro.tlog.signature", "repro.tlog.db", "repro.tlog.warm",
     "repro.pipeline.tasks", "repro.pipeline.records",
     "repro.pipeline.compiler",

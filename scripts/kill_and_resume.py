@@ -6,7 +6,8 @@ loop; this script delivers the real thing.  It forks a child process
 that tunes with per-batch checkpointing, SIGKILLs it as soon as a
 mid-run checkpoint exists, resumes from the checkpoint in a fresh
 process, and asserts that the resumed record log and final incumbent
-are bit-identical to an uninterrupted run of the same configuration.
+are bit-identical to an uninterrupted run of the same configuration,
+and so are the observer's summary, span skeletons and metrics.
 
 Run directly (used by CI)::
 
@@ -79,9 +80,12 @@ print("CHILD-FINISHED")
 """
 
 # Fresh process: run uninterrupted OR resume, dump the trace as JSON.
-# The observer's deterministic summary and span skeletons join the
-# record log in the comparison payload; wall-clock fields are excluded
-# by construction so bit-equality is meaningful.
+# The observer's deterministic summary, span skeletons and metrics
+# (counter and gauge values, histogram counts) join the record log in
+# the comparison payload; wall-clock fields are excluded by
+# construction so bit-equality is meaningful.  Of the metrics, only
+# the checkpoint and resume counters are left out: the baseline writes
+# no checkpoint and never resumes.
 _RUNNER = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -89,7 +93,7 @@ from repro.core import make_tuner
 from repro.hardware.executor import SerialExecutor
 from repro.hardware.measure import SimulatedTask
 from repro.nn.workloads import DenseWorkload
-from repro.obs import TuningObserver
+from repro.obs import Histogram, TuningObserver
 
 task = SimulatedTask(
     DenseWorkload(batch=1, in_features=64, out_features=48), seed=7
@@ -112,6 +116,11 @@ print(json.dumps({{
     "best_gflops": result.best_gflops,
     "summary": observer.summary().deterministic_dict(),
     "spans": observer.trace.span_skeletons(),
+    "metrics": {{
+        m.name: m.count if isinstance(m, Histogram) else m.value
+        for m in observer.metrics
+        if m.name not in ("checkpoints_total", "resumes_total")
+    }},
 }}))
 """
 
@@ -549,7 +558,9 @@ def main() -> int:
                         help="hand the killed child (and the resume) an "
                              "executor, so they speculate; the baseline "
                              "stays serial, so the comparison also pins "
-                             "cross-mode bit-identity")
+                             "cross-mode bit-identity (metrics, which "
+                             "count speculations, compare with an "
+                             "uninterrupted speculating run)")
     parser.add_argument("--service", action="store_true",
                         help="SIGKILL the whole tuning service (`repro "
                              "serve`) mid-job, restart it on the same "
@@ -581,6 +592,14 @@ def main() -> int:
               f"({args.n_trial} trials)")
         baseline = _run_trace(args.arm, kwargs, args.n_trial, ckpt,
                               resume=False)
+        if args.pipeline:
+            # the serial baseline pins records, summary and spans across
+            # modes; the metrics count speculations, so they compare
+            # with an uninterrupted speculating run
+            baseline["metrics"] = _run_trace(
+                args.arm, kwargs, args.n_trial, ckpt, resume=False,
+                speculate=True,
+            )["metrics"]
 
         mode = "speculating " if args.pipeline else ""
         print(f"[2/4] starting {mode}child with per-batch checkpointing")
@@ -642,6 +661,11 @@ def main() -> int:
                 print("  run summaries differ", file=sys.stderr)
             if resumed["spans"] != baseline["spans"]:
                 print("  trace skeletons differ", file=sys.stderr)
+            before, after = baseline["metrics"], resumed["metrics"]
+            for name in sorted(set(before) | set(after)):
+                if before.get(name) != after.get(name):
+                    print(f"  metric {name}: {before.get(name)} != "
+                          f"{after.get(name)}", file=sys.stderr)
             return 1
 
         if args.trace_out:
@@ -649,7 +673,8 @@ def main() -> int:
         print(f"OK: SIGKILL + resume reproduced all "
               f"{len(baseline['records'])} records, the incumbent "
               f"(best config {baseline['best_index']}), the run summary, "
-              f"and all {len(baseline['spans'])} trace span skeletons")
+              f"all {len(baseline['spans'])} trace span skeletons and "
+              f"{len(baseline['metrics'])} metrics")
         return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.learning.gbt import GradientBoostedTrees, boost_rounds
 from repro.learning.tree import apply_bins, bin_features, check_sample_weight
-from repro.obs.hooks import notify_refit, refit_hooks_active
+from repro.obs.hooks import hooks_active, notify
 from repro.utils.rng import SeedLike, as_generator
 
 #: factory for one evaluation function: () -> model with fit/predict
@@ -159,13 +159,14 @@ class BootstrapEnsemble:
         if sample_weight is not None:
             sample_weight = check_sample_weight(sample_weight, n)
         # observability hook: only pay for the clock when someone listens
-        timed = refit_hooks_active()
+        timed = hooks_active("refit")
         start = time.perf_counter() if timed else 0.0
         if self._can_fit_incrementally():
             self._fit_incremental(X, y, sample_weight, n)
             if timed:
-                notify_refit(
-                    n, time.perf_counter() - start, "ensemble_incremental"
+                notify(
+                    "refit", n, time.perf_counter() - start,
+                    "ensemble_incremental",
                 )
             return self
         self._models = []
@@ -190,7 +191,7 @@ class BootstrapEnsemble:
         if states:
             boost_rounds(states, self._models[0].n_estimators)
         if timed:
-            notify_refit(n, time.perf_counter() - start, "ensemble")
+            notify("refit", n, time.perf_counter() - start, "ensemble")
         return self
 
     @property

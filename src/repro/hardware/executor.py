@@ -35,7 +35,7 @@ from repro.hardware.measure import (
     Measurer,
     MeasureResult,
 )
-from repro.obs.hooks import measure_hooks_active, notify_measure
+from repro.obs.hooks import hooks_active, notify
 from repro.utils.log import get_logger
 
 logger = get_logger("hardware.executor")
@@ -123,11 +123,11 @@ class SerialExecutor(MeasureExecutor):
         self, config_indices: Sequence[int]
     ) -> List[MeasureResult]:
         """Deploy the batch sequentially via the wrapped measurer."""
-        if not measure_hooks_active():
+        if not hooks_active("measure"):
             return self._measurer.measure_batch(config_indices)
         start = time.perf_counter()
         results = self._measurer.measure_batch(config_indices)
-        notify_measure("serial", len(results), time.perf_counter() - start)
+        notify("measure", "serial", len(results), time.perf_counter() - start)
         return results
 
 

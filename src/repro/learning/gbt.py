@@ -33,7 +33,7 @@ from repro.learning.tree import (
     predict_stacked,
     stack_trees,
 )
-from repro.obs.hooks import notify_refit_reuse, refit_reuse_hooks_active
+from repro.obs.hooks import hooks_active, notify
 from repro.utils.rng import SeedLike, as_generator
 
 _Tree = Union[RegressionTree, BinnedRegressionTree]
@@ -395,5 +395,5 @@ def boost_rounds(states: Sequence[BoostState], n_rounds: int) -> None:
             break
     for s in states:
         s.model._stack = None
-        if s.reused is not None and refit_reuse_hooks_active():
-            notify_refit_reuse(s.reused)
+        if s.reused is not None and hooks_active("refit_reuse"):
+            notify("refit_reuse", s.reused)

@@ -15,12 +15,7 @@ or :mod:`repro.hardware` — the observer consumes events by their
 bus, so there are no cycles.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.hooks import (
-    notify_measure,
-    notify_refit,
-    measure_hooks_active,
-    refit_hooks_active,
-)
+from repro.obs.hooks import POINTS, hooks_active, notify
 from repro.obs.metrics import (
     Counter,
     DEFAULT_SECONDS_BUCKETS,
@@ -50,6 +45,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "POINTS",
     "RunObservation",
     "RunSummary",
     "TraceRecorder",
@@ -57,11 +53,9 @@ __all__ = [
     "WALL_CLOCK_FIELDS",
     "aggregate_summaries",
     "aggregate_summary_dir",
-    "measure_hooks_active",
-    "notify_measure",
-    "notify_refit",
+    "hooks_active",
+    "notify",
     "read_jsonl",
-    "refit_hooks_active",
     "skeletons_of",
     "write_summary_json",
 ]

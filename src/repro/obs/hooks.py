@@ -3,11 +3,12 @@
 Deep subsystems (the bootstrap ensemble's refit, the measurement
 executors) have timing and counters worth exporting, but they sit far
 below the tuning loop and must not import the observer — and the
-observer must not import them.  This module is the seam: it holds
-lists of registered hook callables and a ``notify_*`` function per
-instrumentation point.  Call sites pay one truthiness check when
-nothing is registered, so observability off is effectively free on
-the hot paths.
+observer must not import them.  This module is the seam: one list of
+registered hook callables per instrumentation point named in
+:data:`POINTS`, and four functions keyed by that name —
+:func:`add_hook`, :func:`remove_hook`, :func:`notify` and
+:func:`hooks_active`.  Call sites pay one lookup when nothing is
+registered, so observability off is effectively free on the hot paths.
 
 :class:`~repro.obs.observer.TuningObserver` registers its hooks in
 ``on_tune_begin`` and removes them in ``on_tune_end``; nothing else in
@@ -26,26 +27,32 @@ layer may depend on it without cycles.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List
+from typing import Callable, Dict, List
 
-#: ``(rows, duration_s, kind)`` — a surrogate-model refit completed
-RefitHook = Callable[[int, float, str], None]
-#: ``(backend, n_configs, duration_s)`` — an executor deployed a batch
-MeasureHook = Callable[[str, int, float], None]
-
-#: ``(reused_trees,)`` — an incremental refit reused previously-grown trees
-RefitReuseHook = Callable[[int], None]
+#: the instrumentation points and the arguments each one notifies with:
+#:
+#: * ``refit`` ``(rows, duration_s, kind)`` — a surrogate-model refit
+#:   completed (``BootstrapEnsemble.fit``)
+#: * ``measure`` ``(backend, n_configs, duration_s)`` — an executor
+#:   deployed a batch (``SerialExecutor``, backend ``"serial"``)
+#: * ``refit_reuse`` ``(reused_trees,)`` — an incremental refit reused
+#:   previously grown trees (``GradientBoostedTrees``)
+POINTS = ("refit", "measure", "refit_reuse")
 
 _LOCAL = threading.local()
 
 
-def _hooks(name: str) -> List[Callable]:
+def _hooks(point: str) -> List[Callable]:
     """This thread's hook list for one instrumentation point."""
-    hooks = getattr(_LOCAL, name, None)
-    if hooks is None:
-        hooks = []
-        setattr(_LOCAL, name, hooks)
-    return hooks
+    table: Dict[str, List[Callable]] = getattr(_LOCAL, "hooks", None)
+    if table is None:
+        table = _LOCAL.hooks = {name: [] for name in POINTS}
+    try:
+        return table[point]
+    except KeyError:
+        raise ValueError(
+            f"unknown hook point {point!r}; expected one of {POINTS}"
+        ) from None
 
 
 def _capture_buffer():
@@ -60,8 +67,9 @@ def capture_begin() -> list:
     its refits on a worker thread, and the notifications they would
     fire must be (a) recorded even though no hooks are registered on
     that thread, and (b) delivered exactly once — on the driving thread
-    if the speculation is adopted, never if it is rolled back.  Returns the buffer to pass to :func:`capture_end` /
-    :func:`replay_captured`.  Nested captures are not supported.
+    if the speculation is adopted, never if it is rolled back.  Returns
+    the buffer to pass to :func:`capture_end` / :func:`replay_captured`.
+    Nested captures are not supported.
     """
     if _capture_buffer() is not None:
         raise RuntimeError("hook capture is already active on this thread")
@@ -79,93 +87,40 @@ def capture_end(buffer: list) -> None:
 
 def replay_captured(buffer: list) -> None:
     """Deliver captured notifications to this thread's hooks, in order."""
-    for name, args in buffer:
-        for hook in tuple(_hooks(name)):
+    for point, args in buffer:
+        for hook in tuple(_hooks(point)):
             hook(*args)
 
 
-def add_refit_hook(hook: RefitHook) -> None:
-    """Subscribe to surrogate-model refit completions."""
-    _hooks("refit").append(hook)
+def add_hook(point: str, hook: Callable) -> None:
+    """Subscribe ``hook`` to one instrumentation point."""
+    _hooks(point).append(hook)
 
 
-def remove_refit_hook(hook: RefitHook) -> None:
-    """Unsubscribe a refit hook (no-op when absent)."""
-    hooks = _hooks("refit")
+def remove_hook(point: str, hook: Callable) -> None:
+    """Unsubscribe ``hook`` from a point (no-op when absent)."""
+    hooks = _hooks(point)
     if hook in hooks:
         hooks.remove(hook)
 
 
-def notify_refit(rows: int, duration_s: float, kind: str = "ensemble") -> None:
-    """Report one completed refit of ``rows`` training rows."""
+def notify(point: str, *args) -> None:
+    """Report one occurrence at ``point`` to this thread's hooks."""
+    hooks = _hooks(point)
     buffer = _capture_buffer()
     if buffer is not None:
-        buffer.append(("refit", (rows, duration_s, kind)))
+        buffer.append((point, args))
         return
-    for hook in tuple(_hooks("refit")):
-        hook(rows, duration_s, kind)
+    for hook in tuple(hooks):
+        hook(*args)
 
 
-def refit_hooks_active() -> bool:
-    """True when at least one refit hook is registered on this thread.
+def hooks_active(point: str) -> bool:
+    """True when a hook is registered for ``point`` on this thread.
 
     Lets instrumented call sites skip even the ``perf_counter`` pair
     when nobody is listening.  Also true while a capture is active, so
     speculative proposals record the same notifications an observed
     serial proposal would fire.
     """
-    return bool(_hooks("refit")) or _capture_buffer() is not None
-
-
-def add_measure_hook(hook: MeasureHook) -> None:
-    """Subscribe to executor batch deployments."""
-    _hooks("measure").append(hook)
-
-
-def remove_measure_hook(hook: MeasureHook) -> None:
-    """Unsubscribe a measure hook (no-op when absent)."""
-    hooks = _hooks("measure")
-    if hook in hooks:
-        hooks.remove(hook)
-
-
-def notify_measure(backend: str, n_configs: int, duration_s: float) -> None:
-    """Report one deployed batch from executor ``backend``."""
-    buffer = _capture_buffer()
-    if buffer is not None:
-        buffer.append(("measure", (backend, n_configs, duration_s)))
-        return
-    for hook in tuple(_hooks("measure")):
-        hook(backend, n_configs, duration_s)
-
-
-def measure_hooks_active() -> bool:
-    """True when at least one measure hook is registered on this thread."""
-    return bool(_hooks("measure")) or _capture_buffer() is not None
-
-
-def add_refit_reuse_hook(hook: RefitReuseHook) -> None:
-    """Subscribe to incremental-refit tree reuse reports."""
-    _hooks("refit_reuse").append(hook)
-
-
-def remove_refit_reuse_hook(hook: RefitReuseHook) -> None:
-    """Unsubscribe a refit-reuse hook (no-op when absent)."""
-    hooks = _hooks("refit_reuse")
-    if hook in hooks:
-        hooks.remove(hook)
-
-
-def notify_refit_reuse(reused_trees: int) -> None:
-    """Report trees carried over by one warm-started (incremental) refit."""
-    buffer = _capture_buffer()
-    if buffer is not None:
-        buffer.append(("refit_reuse", (reused_trees,)))
-        return
-    for hook in tuple(_hooks("refit_reuse")):
-        hook(reused_trees)
-
-
-def refit_reuse_hooks_active() -> bool:
-    """True when a refit-reuse hook is registered (or capture is on)."""
-    return bool(_hooks("refit_reuse")) or _capture_buffer() is not None
+    return bool(_hooks(point)) or _capture_buffer() is not None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.utils.io import atomic_write_text
@@ -101,35 +101,33 @@ class RunSummary:
         }
 
 
+#: RunSummary fields :func:`aggregate_summaries` does not add up: the
+#: run's identity, its incumbent (``best_gflops`` keeps the maximum)
+#: and its curve
+_NOT_SUMMED = frozenset(
+    {"task", "arm", "seed", "best_index", "best_gflops", "best_curve"}
+)
+
+
 def aggregate_summaries(summaries: Iterable[RunSummary]) -> Dict[str, Any]:
-    """Roll a set of per-run summaries up into one experiment digest."""
+    """Roll a set of per-run summaries up into one experiment digest.
+
+    Every :class:`RunSummary` field outside :data:`_NOT_SUMMED` yields
+    one key: numbers add up, flags count the runs that set them, and a
+    text field counts the runs that set it under its plural name
+    (``finish_phase`` -> ``finish_phases``).
+    """
     rows = list(summaries)
-    agg: Dict[str, Any] = {
-        "runs": len(rows),
-        "num_measurements": sum(s.num_measurements for s in rows),
-        "num_errors": sum(s.num_errors for s in rows),
-        "batches": sum(s.batches for s in rows),
-        "refits": sum(s.refits for s in rows),
-        "improvements": sum(s.improvements for s in rows),
-        "widenings": sum(s.widenings for s in rows),
-        "retries": sum(s.retries for s in rows),
-        "failures": sum(s.failures for s in rows),
-        "exploit_steps": sum(s.exploit_steps for s in rows),
-        "pruned_candidates": sum(s.pruned_candidates for s in rows),
-        "speculations": sum(s.speculations for s in rows),
-        "speculation_replays": sum(s.speculation_replays for s in rows),
-        "refit_reused_trees": sum(s.refit_reused_trees for s in rows),
-        "finish_phases": sum(1 for s in rows if s.finish_phase),
-        "early_stopped": sum(1 for s in rows if s.early_stopped),
-        "space_exhausted": sum(1 for s in rows if s.space_exhausted),
-        "resumed": sum(1 for s in rows if s.resumed),
-        "proposal_s": sum(s.proposal_s for s in rows),
-        "measure_s": sum(s.measure_s for s in rows),
-        "refit_s": sum(s.refit_s for s in rows),
-        "pipeline_overlap_s": sum(s.pipeline_overlap_s for s in rows),
-        "wall_s": sum(s.wall_s for s in rows),
-        "best_gflops": max((s.best_gflops for s in rows), default=0.0),
-    }
+    agg: Dict[str, Any] = {"runs": len(rows)}
+    for f in fields(RunSummary):
+        if f.name in _NOT_SUMMED:
+            continue
+        values = [getattr(s, f.name) for s in rows]
+        if isinstance(f.default, str):
+            agg[f.name + "s"] = sum(1 for v in values if v)
+        else:
+            agg[f.name] = sum(values)
+    agg["best_gflops"] = max((s.best_gflops for s in rows), default=0.0)
     by_arm: Dict[str, Dict[str, Any]] = {}
     for s in rows:
         arm = by_arm.setdefault(

@@ -344,10 +344,19 @@ class FeatureCache:
         """Config indices of the cached rows, in append order."""
         return list(self._indices)
 
+    def __getstate__(self) -> dict:
+        # pickle the filled rows only: the tail past them is
+        # uninitialised memory, which would make checkpoints (and
+        # speculation rollback snapshots) differ byte for byte between
+        # identical runs
+        return dict(self.__dict__, _buf=self._buf[: self._count])
+
     def _grow_to(self, needed: int) -> None:
         capacity = len(self._buf)
         if needed <= capacity:
             return
+        # a cache restored with no rows has capacity 0: start at 1
+        capacity = max(capacity, 1)
         while capacity < needed:
             capacity *= 2
         buf = np.empty((capacity, self._buf.shape[1]))

@@ -10,6 +10,7 @@ readable progress lines out of the box.
 from __future__ import annotations
 
 import logging
+import sys
 from typing import Optional
 
 _FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"
@@ -36,6 +37,22 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     return logging.getLogger(f"repro.{name}")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler bound to whatever ``sys.stderr`` is at emit time.
+
+    A handler that kept the stream of its creation would write into a
+    closed file once a caller (a test harness, an embedding
+    application) swaps ``sys.stderr`` out and closes the old one.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def enable_console_logging(level: int = logging.INFO) -> None:
     """Attach a stderr handler to the ``repro`` logger (idempotent)."""
     root = get_logger()
@@ -45,7 +62,7 @@ def enable_console_logging(level: int = logging.INFO) -> None:
         ):
             root.setLevel(level)
             return
-    handler = logging.StreamHandler()
+    handler = _StderrHandler()
     handler.setFormatter(logging.Formatter(_FORMAT))
     root.addHandler(handler)
     root.setLevel(level)

@@ -18,6 +18,7 @@ from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.hardware.executor import build_executor
 from repro.hardware.measure import SimulatedTask
 from repro.nn.workloads import DenseWorkload
+from repro.space.space import FeatureCache
 from tests import ensemble_oracle
 
 ARM_KWARGS = {
@@ -294,6 +295,48 @@ class TestCrashResume:
         assert ckpt.initialized is (batches > 0)
         ensemble = pickle.loads(ckpt.payload)["tuner_state"]["bao"]._ensemble
         assert ensemble.is_fitted is (batches > 1)
+
+        fresh = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        resumed = fresh.resume(path)
+        assert _trace(resumed) == _trace(baseline)
+        assert resumed.best_index == baseline.best_index
+        assert resumed.best_gflops == baseline.best_gflops
+
+    def test_same_seed_runs_write_identical_checkpoints(
+        self, tmp_path, dense_task
+    ):
+        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+        for path in paths:
+            make_tuner("bted", dense_task, seed=5, **ARM_KWARGS["bted"]).tune(
+                n_trial=20, early_stopping=None, checkpoint=path
+            )
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("batches", [0, 1, 3])
+    def test_checkpoint_with_whole_feature_buffer_resumes(
+        self, tmp_path, dense_task, monkeypatch, batches
+    ):
+        # checkpoints once pickled the feature cache's whole buffer,
+        # uninitialised tail included; they resume bit-identically
+        kwargs = ARM_KWARGS["bted+bao"]
+        n_trial = 20
+        baseline = make_tuner("bted+bao", dense_task, seed=5, **kwargs).tune(
+            n_trial=n_trial, early_stopping=None
+        )
+        path = tmp_path / "whole-buffer.ckpt"
+        monkeypatch.delattr(FeatureCache, "__getstate__")
+        tuner = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        if batches:
+            _crash_after(tuner, n_batches=batches, path=path, n_trial=n_trial)
+        else:
+            tuner.snapshot(
+                n_trial=n_trial, early_stopping=None, initialized=False
+            ).save(path)
+        monkeypatch.undo()
+        cache = pickle.loads(
+            TuningCheckpoint.load(path).payload
+        )["tuner_state"]["_features"]
+        assert len(cache._buf) == 64 > len(cache)
 
         fresh = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
         resumed = fresh.resume(path)

@@ -247,6 +247,31 @@ class TestFeatureCache:
         assert cache.indices == [5, 9]
         assert np.array_equal(cache.matrix[1], TASK.space.features_of(9))
 
+    @pytest.mark.parametrize("rows", [0, 3, 64])
+    def test_pickle_holds_filled_rows_and_keeps_growing(self, rows):
+        cache = FeatureCache(TASK.space, capacity=64)
+        cache.extend(list(range(rows)))
+        restored = pickle.loads(pickle.dumps(cache))
+        assert restored._buf.shape == (rows, TASK.space.feature_dim)
+        assert np.array_equal(restored.matrix, cache.matrix)
+        for more in ([7], [8, 9]):
+            restored.extend(more)
+            cache.extend(more)
+            assert np.array_equal(restored.matrix, cache.matrix)
+        assert restored.indices == cache.indices
+
+    def test_pickle_is_byte_deterministic(self):
+        def filled():
+            cache = FeatureCache(TASK.space, capacity=64)
+            cache.extend([3, 1, 4])
+            return cache
+
+        first = filled()
+        first._buf[3:] = 1.0  # the tail past the rows is never read
+        second = filled()
+        second._buf[3:] = 2.0
+        assert pickle.dumps(first) == pickle.dumps(second)
+
 
 class TestVisitedFiltering:
     @given(

@@ -23,7 +23,9 @@ from repro.core.events import (
 )
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.settings import ExperimentSettings
+from repro.hardware.executor import SerialExecutor
 from repro.obs import (
+    Histogram,
     RunObservation,
     RunSummary,
     TuningObserver,
@@ -130,8 +132,8 @@ class TestObserverSummary:
         obs = TuningObserver()
         tuner = make_tuner("random", dense_task, seed=3, batch_size=8)
         tuner.tune(n_trial=8, early_stopping=None, on_event=[obs])
-        assert not hooks.refit_hooks_active()
-        assert not hooks.measure_hooks_active()
+        for point in hooks.POINTS:
+            assert not hooks.hooks_active(point)
 
     def test_disabled_outputs_keep_summary(self, dense_task):
         obs = TuningObserver(enable_metrics=False, enable_trace=False)
@@ -188,6 +190,198 @@ class TestCrashResumeIdentity:
             == obs.summary().deterministic_dict()
         )
         assert fresh.trace.span_skeletons() == obs.trace.span_skeletons()
+
+
+#: the keys of an observer state: one per RunSummary field (four of
+#: them renamed) plus the span bookkeeping, metrics and trace
+STATE_KEYS = {
+    "task", "arm", "seed", "measured", "errors", "best_index", "best",
+    "curve", "batches", "refits", "improvements", "widenings", "retries",
+    "failures", "exploit_steps", "pruned_candidates", "finish_phase",
+    "speculations", "speculation_replays", "refit_reused_trees",
+    "early_stopped", "space_exhausted", "resumed", "proposal_s",
+    "measure_s", "refit_s", "pipeline_overlap_s", "wall_s", "root_id",
+    "step_id", "metrics", "trace",
+}
+
+
+def _non_default_summary(offset: int = 0) -> RunSummary:
+    """A summary whose every field but ``wall_s`` is off its default."""
+    values = {}
+    for f in dataclasses.fields(RunSummary):
+        default = (
+            f.default if f.default is not dataclasses.MISSING
+            else f.default_factory()
+        )
+        if isinstance(default, bool):
+            value = not default
+        elif isinstance(default, str):
+            value = f"{f.name}-{offset}"
+        elif isinstance(default, list):
+            value = [1.5, 2.25 + offset]
+        elif isinstance(default, float):
+            value = 3.125 + offset
+        elif default is None or isinstance(default, int):
+            value = 7 + offset
+        else:
+            raise AssertionError(f"no non-default value for {f.name}")
+        values[f.name] = value
+    values["wall_s"] = 0.0
+    return RunSummary(**values)
+
+
+def _explicit_aggregate(rows):
+    """The aggregate spelled out key by key, as the field walk must give."""
+    return {
+        "runs": len(rows),
+        "num_measurements": sum(s.num_measurements for s in rows),
+        "num_errors": sum(s.num_errors for s in rows),
+        "batches": sum(s.batches for s in rows),
+        "refits": sum(s.refits for s in rows),
+        "improvements": sum(s.improvements for s in rows),
+        "widenings": sum(s.widenings for s in rows),
+        "retries": sum(s.retries for s in rows),
+        "failures": sum(s.failures for s in rows),
+        "exploit_steps": sum(s.exploit_steps for s in rows),
+        "pruned_candidates": sum(s.pruned_candidates for s in rows),
+        "speculations": sum(s.speculations for s in rows),
+        "speculation_replays": sum(s.speculation_replays for s in rows),
+        "refit_reused_trees": sum(s.refit_reused_trees for s in rows),
+        "finish_phases": sum(1 for s in rows if s.finish_phase),
+        "early_stopped": sum(1 for s in rows if s.early_stopped),
+        "space_exhausted": sum(1 for s in rows if s.space_exhausted),
+        "resumed": sum(1 for s in rows if s.resumed),
+        "proposal_s": sum(s.proposal_s for s in rows),
+        "measure_s": sum(s.measure_s for s in rows),
+        "refit_s": sum(s.refit_s for s in rows),
+        "pipeline_overlap_s": sum(s.pipeline_overlap_s for s in rows),
+        "wall_s": sum(s.wall_s for s in rows),
+        "best_gflops": max((s.best_gflops for s in rows), default=0.0),
+    }
+
+
+#: counters that differ between a resumed run and an uninterrupted one
+#: by construction: the baseline writes no checkpoint and never resumes
+RESUME_COUNTERS = {"checkpoints_total", "resumes_total"}
+
+
+def _metric_counts(registry):
+    """Counter and gauge values and histogram counts, by metric name."""
+    return {
+        m.name: m.count if isinstance(m, Histogram) else m.value
+        for m in registry
+        if m.name not in RESUME_COUNTERS
+    }
+
+
+class TestOneListContract:
+    """RunSummary's fields are the observer's one list of run facts."""
+
+    def test_every_field_round_trips_through_state(self):
+        expected = _non_default_summary()
+        defaults = RunSummary().to_dict()
+        for name, value in expected.to_dict().items():
+            assert name == "wall_s" or value != defaults[name], name
+        obs = TuningObserver()
+        obs._run = dataclasses.replace(expected)
+        state = json.loads(json.dumps(obs.state_dict()))
+        assert set(state) == STATE_KEYS
+        fresh = TuningObserver()
+        fresh.load_state_dict(state)
+        restored = fresh.summary()
+        assert restored.wall_s >= 0.0
+        assert dataclasses.replace(restored, wall_s=0.0) == expected
+
+    def test_state_of_a_run_has_the_documented_keys(self, dense_task):
+        obs = TuningObserver()
+        tuner = make_tuner("bted", dense_task, seed=5, **ARM_KWARGS["bted"])
+        tuner.tune(n_trial=16, early_stopping=None, on_event=[obs])
+        assert set(json.loads(json.dumps(obs.state_dict()))) == STATE_KEYS
+
+    def test_aggregate_keys_and_values_match_the_field_list(self):
+        rows = [_non_default_summary(0), _non_default_summary(1)]
+        rows.append(RunSummary(arm="random"))
+        agg = aggregate_summaries(rows)
+        by_arm = agg.pop("by_arm")
+        assert agg == _explicit_aggregate(rows)
+        assert list(by_arm) == ["arm-0", "arm-1", "random"]
+        assert aggregate_summaries([]) == dict(
+            _explicit_aggregate([]), by_arm={}
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hooks.add_hook("nope", print),
+            lambda: hooks.remove_hook("nope", print),
+            lambda: hooks.notify("nope", 1),
+            lambda: hooks.hooks_active("nope"),
+        ],
+        ids=["add_hook", "remove_hook", "notify", "hooks_active"],
+    )
+    def test_unknown_hook_point_raises(self, call):
+        with pytest.raises(ValueError, match="unknown hook point 'nope'"):
+            call()
+
+    def test_unknown_point_raises_while_capturing(self):
+        buffer = hooks.capture_begin()
+        try:
+            with pytest.raises(ValueError):
+                hooks.notify("nope", 1)
+        finally:
+            hooks.capture_end(buffer)
+        assert buffer == []
+
+    def test_hooks_deliver_by_point(self):
+        seen = []
+        hooks.add_hook("refit_reuse", seen.append)
+        try:
+            assert hooks.hooks_active("refit_reuse")
+            assert not hooks.hooks_active("measure")
+            hooks.notify("refit_reuse", 3)
+            hooks.notify("measure", "serial", 2, 0.0)
+        finally:
+            hooks.remove_hook("refit_reuse", seen.append)
+        assert seen == [3]
+        assert not hooks.hooks_active("refit_reuse")
+
+    @pytest.mark.parametrize("speculate", [False, True])
+    @pytest.mark.parametrize("arm", sorted(ARM_KWARGS))
+    def test_resumed_metrics_equal_uninterrupted(
+        self, tmp_path, dense_task, arm, speculate
+    ):
+        executor = SerialExecutor if speculate else None
+
+        def tuner():
+            return make_tuner(
+                arm, dense_task, seed=5, executor=executor,
+                **ARM_KWARGS[arm],
+            )
+
+        baseline_obs = TuningObserver()
+        baseline = tuner()
+        try:
+            baseline.tune(
+                n_trial=24, early_stopping=None, on_event=[baseline_obs]
+            )
+        finally:
+            baseline.shutdown()
+        path = tmp_path / "run.ckpt"
+        crashed = tuner()
+        try:
+            _crash_after(crashed, 2, path, 24, on_event=[TuningObserver()])
+        finally:
+            crashed.shutdown()
+        resumed_obs = TuningObserver()
+        resumed = tuner()
+        try:
+            resumed.resume(path, on_event=[resumed_obs])
+        finally:
+            resumed.shutdown()
+        counts = _metric_counts(resumed_obs.metrics)
+        assert counts == _metric_counts(baseline_obs.metrics)
+        assert counts["measurements_total"] == 24
+        assert resumed_obs.metrics.get("resumes_total").value == 1
 
 
 class TestCallbackResume:
@@ -389,6 +583,35 @@ def _with_legacy_cache_entries(state: dict) -> dict:
     return state
 
 
+def _add_legacy_cache_entries_to_checkpoint(path) -> None:
+    """Rewrite a checkpoint's observer sink state to the cache version."""
+    from repro.core.checkpoint import TuningCheckpoint
+
+    saved = TuningCheckpoint.load(path)
+    payload = pickle.loads(saved.payload)
+    (sink,) = [s for s in payload["sink_states"] if s is not None]
+    sink["state"] = _with_legacy_cache_entries(sink["state"])
+    dataclasses.replace(saved, payload=pickle.dumps(payload)).save(path)
+
+
+def _prometheus_counters(text: str) -> dict:
+    """Counter values of a Prometheus text snapshot, resume counters out."""
+    counters = {
+        line.split()[2]
+        for line in text.splitlines()
+        if line.startswith("# TYPE ") and line.endswith(" counter")
+    }
+    skipped = {"repro_" + name for name in RESUME_COUNTERS}
+    return {
+        name: value
+        for name, value in (
+            line.split() for line in text.splitlines()
+            if not line.startswith("#")
+        )
+        if name in counters and name not in skipped
+    }
+
+
 class _CrashingObserver(TuningObserver):
     """An observer sink that fails its tune after N events."""
 
@@ -449,7 +672,10 @@ def _compile(observation, ckpt_dir=None, resume=False):
         key: observation.observer(key).summary().deterministic_dict()
         for key in observation.keys()
     }
-    return [r.to_json() for r in store], summaries
+    counters = _prometheus_counters(
+        observation.merged_metrics().render_prometheus()
+    )
+    return [r.to_json() for r in store], summaries, counters
 
 
 class TestLegacyCacheState:
@@ -470,6 +696,29 @@ class TestLegacyCacheState:
         )
         assert "cache_hits" not in fresh.summary().to_dict()
         assert fresh.trace.span_skeletons() == obs.trace.span_skeletons()
+        assert _prometheus_counters(
+            fresh.metrics.render_prometheus()
+        ) == _prometheus_counters(obs.metrics.render_prometheus())
+
+    def test_resumed_counters_equal_uninterrupted(self, tmp_path, dense_task):
+        def tuner():
+            return make_tuner(
+                "bted", dense_task, seed=5, **ARM_KWARGS["bted"]
+            )
+
+        baseline = TuningObserver()
+        tuner().tune(n_trial=24, early_stopping=None, on_event=[baseline])
+        path = tmp_path / "c.ckpt"
+        _crash_after(tuner(), 1, path, 24, on_event=[TuningObserver()])
+        _add_legacy_cache_entries_to_checkpoint(path)
+        resumed = TuningObserver()
+        tuner().resume(path, on_event=[resumed])
+        text = resumed.metrics.render_prometheus()
+        assert "cache" not in text
+        assert "repro_executor_batches_serial_total" in text
+        assert _prometheus_counters(text) == _prometheus_counters(
+            baseline.metrics.render_prometheus()
+        )
 
     def test_compile_resumes_from_legacy_states(self, tmp_path):
         baseline = _compile(RunObservation(enable_trace=False))
@@ -482,18 +731,10 @@ class TestLegacyCacheState:
         for path in finished:
             state = json.loads(path.read_text())
             path.write_text(json.dumps(_with_legacy_cache_entries(state)))
-        from repro.core.checkpoint import TuningCheckpoint
-
-        ckpt_path = ckpt / "task-001.ckpt"
-        saved = TuningCheckpoint.load(ckpt_path)
-        payload = pickle.loads(saved.payload)
-        (sink,) = payload["sink_states"]
-        sink["state"] = _with_legacy_cache_entries(sink["state"])
-        dataclasses.replace(saved, payload=pickle.dumps(payload)).save(
-            ckpt_path
-        )
+        _add_legacy_cache_entries_to_checkpoint(ckpt / "task-001.ckpt")
         resumed = _compile(RunObservation(enable_trace=False), ckpt, True)
         assert resumed == baseline
+        assert "repro_executor_batches_serial_total" in resumed[2]
 
     def test_aggregate_summary_dir_reads_cells_with_cache_keys(
         self, tmp_path

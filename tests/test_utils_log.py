@@ -1,6 +1,8 @@
 """Tests for repro.utils.log."""
 
+import io
 import logging
+import sys
 
 from repro.utils.log import enable_console_logging, get_logger
 
@@ -48,3 +50,25 @@ class TestEnableConsoleLogging:
         # level change only happens on first attach; verify the logger
         # has *a* concrete level configured
         assert get_logger().level != logging.NOTSET
+
+    def test_writes_to_the_current_stderr(self, monkeypatch):
+        # a handler bound to the stderr of its first call fails once
+        # that stream is swapped out and closed
+        root = get_logger()
+        saved = list(root.handlers), root.level
+        for handler in saved[0]:
+            if type(handler) is not logging.NullHandler:
+                root.removeHandler(handler)
+        try:
+            first = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", first)
+            enable_console_logging()
+            first.close()
+            second = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", second)
+            get_logger("utils.log-test").warning("after the swap")
+        finally:
+            root.handlers[:] = saved[0]
+            root.setLevel(saved[1])
+        assert "after the swap" in second.getvalue()
+        assert "--- Logging error ---" not in second.getvalue()
