@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks and the perf-regression harness.
 
-Times the tuning loop's Python-side hot paths — tree prediction, TED /
-BTED selection, bootstrap-ensemble fit/predict, and a full BTED+BAO
-tuning step — against the preserved pre-optimization reference
+Times the tuning loop's Python-side hot paths — histogram-tree
+prediction, TED / BTED selection, bootstrap-ensemble fit/predict, and
+a full BTED+BAO tuning step — against the preserved reference
 implementations (the per-node tree walk in ``tests/tree_oracle.py``
 and the in-place TED loop in ``tests/ted_oracle.py``), and writes the
 numbers to a JSON artifact (``BENCH_hotpaths.json`` at the repo root
@@ -42,7 +42,7 @@ from repro.core.events import BatchMeasured, BatchProposed, EventLog
 from repro.core.ted import ted_select
 from repro.core.tuners.btedbao import BTEDBAOTuner
 from repro.hardware.measure import SimulatedTask
-from repro.learning.tree import BinnedRegressionTree, RegressionTree, bin_features
+from repro.learning.tree import BinnedRegressionTree, apply_bins, bin_features
 from repro.nn.workloads import Conv2DWorkload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,13 +75,15 @@ def _task():
 
 
 def bench_tree_predict(repeats, scale):
-    """Vectorized exact-tree predict vs the per-node reference loop."""
+    """Vectorized histogram-tree predict vs the per-node reference loop."""
     rng = np.random.default_rng(0)
     n_train, n_test = int(1200 * scale), int(4000 * scale)
     X = rng.random((max(n_train, 16), 14))
     y = rng.random(len(X))
-    X_test = rng.random((max(n_test, 16), 14))
-    tree = RegressionTree(max_depth=8, min_samples_leaf=2, seed=0).fit(X, y)
+    codes, edges = bin_features(X, n_bins=16)
+    X_test = apply_bins(rng.random((max(n_test, 16), 14)), edges)
+    tree = BinnedRegressionTree(n_bins=16, max_depth=8, min_samples_leaf=2)
+    tree.fit(codes, y)
 
     fast_s, fast = _best_of(lambda: tree.predict(X_test), repeats)
     ref_s, ref = _best_of(lambda: tree_oracle.predict(tree, X_test), repeats)

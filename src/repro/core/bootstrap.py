@@ -175,8 +175,9 @@ class BootstrapEnsemble:
         for _ in range(self.gamma):
             rows = self._rng.integers(0, n, size=n)
             model = self._factory()
-            hist = getattr(model, "method", None) == "hist"
-            if self.share_bin_edges and hist:
+            if self.share_bin_edges and isinstance(
+                model, GradientBoostedTrees
+            ):
                 if shared_edges is None:
                     shared_edges = bin_features(X, n_bins=model.n_bins)[1]
                 model.bin_edges = shared_edges

@@ -1035,10 +1035,12 @@ TransferHistory`.  The injection happens once, inside the
         if isinstance(source, TuningCheckpoint):
             ckpt = source
             default_spec: CheckpointSpec = None
+            where = f"the {ckpt.tuner_name} checkpoint at step {ckpt.step}"
         else:
             ckpt = TuningCheckpoint.load(source)
             default_spec = source
-        payload = self._restore_checkpoint(ckpt)
+            where = str(source)
+        payload = self._restore_checkpoint(ckpt, where)
         _restore_observer_states(
             callbacks,
             payload.get("callback_states"),
@@ -1093,12 +1095,22 @@ TransferHistory`.  The injection happens once, inside the
         path = ckpt.save(policy.path)
         self._emit(CheckpointSaved(step=len(records), path=path))
 
-    def _restore_checkpoint(self, ckpt: TuningCheckpoint) -> dict:
-        """Swap this tuner's mutable state for the checkpointed state."""
+    def _restore_checkpoint(self, ckpt: TuningCheckpoint, where: str) -> dict:
+        """Swap this tuner's mutable state for the checkpointed state.
+
+        ``where`` names the checkpoint in the :class:`CheckpointError`
+        raised for a payload this build cannot unpickle (one naming a
+        class or module that no longer exists, say).
+        """
         mismatch = ckpt.matches(self)
         if mismatch is not None:
             raise CheckpointError(mismatch)
-        payload = pickle.loads(ckpt.payload)
+        try:
+            payload = pickle.loads(ckpt.payload)
+        except (AttributeError, ImportError) as exc:  # a missing name
+            raise CheckpointError(
+                f"{where} holds tuner state this build cannot load: {exc}"
+            ) from exc
         for key, value in payload["tuner_state"].items():
             setattr(self, key, value)
         ordinal = int(payload["measured_ordinal"])

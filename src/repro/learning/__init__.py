@@ -7,12 +7,7 @@ simulated annealing (:mod:`repro.learning.sa`), and transfer learning
 from tuning history (:mod:`repro.learning.transfer`).
 """
 
-from repro.learning.tree import (
-    RegressionTree,
-    BinnedRegressionTree,
-    bin_features,
-    apply_bins,
-)
+from repro.learning.tree import BinnedRegressionTree, bin_features, apply_bins
 from repro.learning.gbt import GradientBoostedTrees
 from repro.learning.mlp import MlpRegressor
 from repro.learning.rank import RankGradientBoostedTrees
@@ -21,7 +16,6 @@ from repro.learning.sa import simulated_annealing_search
 from repro.learning.transfer import TransferHistory
 
 __all__ = [
-    "RegressionTree",
     "BinnedRegressionTree",
     "bin_features",
     "apply_bins",

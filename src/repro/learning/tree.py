@@ -1,13 +1,10 @@
-"""CART regression trees (the weak learner under the boosted ensemble).
-
-:class:`RegressionTree` splits exactly and greedily on squared error
-with optional per-sample weights, depth and leaf-size limits, and
-feature subsampling.  It is vectorized per node: candidate thresholds
-are scanned with prefix sums, giving O(d · n log n) per node.
+"""Histogram regression trees (the weak learner under the boosted ensemble).
 
 :class:`BinnedRegressionTree` splits on histograms of pre-binned
 feature codes.  :func:`grow_binned` is its one grower: it grows one
-such tree per ensemble member in a single level-wise pass.
+such tree per ensemble member in a single level-wise pass.  Exact
+greedy CART is the reference these trees are tested against
+(``tests/tree_oracle.py``).
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-
-from repro.utils.rng import SeedLike, as_generator
 
 
 def check_sample_weight(
@@ -41,239 +36,6 @@ def check_sample_weight(
     if not w.sum() > 0:
         raise ValueError("sample weights must have a positive sum")
     return w
-
-
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-class RegressionTree:
-    """A binary regression tree fit by exact greedy SSE minimization.
-
-    After :meth:`fit` the node list is flattened into parallel NumPy
-    arrays (feature/threshold/left/right/value), so :meth:`predict`
-    routes all rows level by level with pure array ops instead of a
-    per-node Python loop.  The per-node traversal it replaced is the
-    oracle in ``tests/tree_oracle.py``, which the equivalence tests and
-    the hot-path benchmark compare against.
-    """
-
-    def __init__(
-        self,
-        max_depth: int = 6,
-        min_samples_leaf: int = 2,
-        min_impurity_decrease: float = 1e-12,
-        max_features: Optional[float] = None,
-        seed: SeedLike = None,
-    ):
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if max_features is not None and not 0.0 < max_features <= 1.0:
-            raise ValueError("max_features must be in (0, 1]")
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.min_impurity_decrease = min_impurity_decrease
-        self.max_features = max_features
-        self._rng = as_generator(seed)
-        self._nodes: list[_TreeNode] = []
-        # flat node arrays (filled by _finalize after fit)
-        self._feature: Optional[np.ndarray] = None
-        self._threshold: Optional[np.ndarray] = None
-        self._left: Optional[np.ndarray] = None
-        self._right: Optional[np.ndarray] = None
-        self._value: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
-    ) -> "RegressionTree":
-        """Fit the tree; returns ``self``."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if y.shape != (X.shape[0],):
-            raise ValueError("y must be 1-D and match X rows")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        w = check_sample_weight(sample_weight, X.shape[0])
-
-        self._nodes = []
-        self._build(X, y, w, np.arange(X.shape[0]), depth=0)
-        self._finalize()
-        return self
-
-    def _finalize(self) -> None:
-        """Flatten the node list into parallel arrays for fast predict."""
-        nodes = self._nodes
-        count = len(nodes)
-        self._feature = np.fromiter(
-            (n.feature for n in nodes), dtype=np.int64, count=count
-        )
-        self._threshold = np.fromiter(
-            (n.threshold for n in nodes), dtype=np.float64, count=count
-        )
-        self._left = np.fromiter(
-            (n.left for n in nodes), dtype=np.int64, count=count
-        )
-        self._right = np.fromiter(
-            (n.right for n in nodes), dtype=np.int64, count=count
-        )
-        self._value = np.fromiter(
-            (n.value for n in nodes), dtype=np.float64, count=count
-        )
-
-    def _new_node(self) -> int:
-        self._nodes.append(_TreeNode())
-        return len(self._nodes) - 1
-
-    def _build(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        idx: np.ndarray,
-        depth: int,
-    ) -> int:
-        node_id = self._new_node()
-        node = self._nodes[node_id]
-        w_sub = w[idx]
-        y_sub = y[idx]
-        total_w = w_sub.sum()
-        node.value = float(np.dot(w_sub, y_sub) / total_w)
-
-        if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
-            return node_id
-        split = self._best_split(X, y, w, idx)
-        if split is None:
-            return node_id
-
-        feature, threshold = split
-        mask = X[idx, feature] <= threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X, y, w, left_idx, depth + 1)
-        node.right = self._build(X, y, w, right_idx, depth + 1)
-        return node_id
-
-    def _best_split(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        idx: np.ndarray,
-    ) -> Optional[tuple[int, float]]:
-        n_features = X.shape[1]
-        if self.max_features is not None:
-            k = max(1, int(round(self.max_features * n_features)))
-            features = self._rng.choice(n_features, size=k, replace=False)
-        else:
-            features = np.arange(n_features)
-
-        y_sub = y[idx]
-        w_sub = w[idx]
-        total_w = w_sub.sum()
-        total_wy = np.dot(w_sub, y_sub)
-        parent_score = total_wy * total_wy / total_w
-
-        best_gain = self.min_impurity_decrease
-        best: Optional[tuple[int, float]] = None
-        min_leaf = self.min_samples_leaf
-
-        for feature in features:
-            values = X[idx, feature]
-            order = np.argsort(values, kind="stable")
-            v_sorted = values[order]
-            # skip constant features
-            if v_sorted[0] == v_sorted[-1]:
-                continue
-            wy = (w_sub * y_sub)[order]
-            ww = w_sub[order]
-            cum_wy = np.cumsum(wy)
-            cum_w = np.cumsum(ww)
-            # candidate split after position i (1-based prefix)
-            # valid when the value actually changes and leaves are big enough
-            diffs = v_sorted[1:] != v_sorted[:-1]
-            positions = np.nonzero(diffs)[0]
-            if min_leaf > 1:
-                positions = positions[
-                    (positions + 1 >= min_leaf)
-                    & (len(idx) - positions - 1 >= min_leaf)
-                ]
-            if len(positions) == 0:
-                continue
-            left_wy = cum_wy[positions]
-            left_w = cum_w[positions]
-            right_wy = total_wy - left_wy
-            right_w = total_w - left_w
-            gains = (
-                left_wy * left_wy / left_w
-                + right_wy * right_wy / right_w
-                - parent_score
-            )
-            arg = int(np.argmax(gains))
-            if gains[arg] > best_gain:
-                best_gain = float(gains[arg])
-                pos = positions[arg]
-                threshold = 0.5 * (v_sorted[pos] + v_sorted[pos + 1])
-                best = (int(feature), float(threshold))
-        return best
-
-    # ------------------------------------------------------------------
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predict targets for rows of ``X`` (level by level: :func:`_route`).
-
-        Bit-identical to the per-node routing loop it replaced.
-        """
-        if not self._nodes:
-            raise RuntimeError("tree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        return _route(self, X)
-
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def depth(self) -> int:
-        """Actual depth of the fitted tree (0 for a stump leaf).
-
-        Computed by an iterative frontier walk over the flat arrays, so
-        arbitrarily deep trees cannot hit the Python recursion limit.
-        """
-        if not self._nodes:
-            raise RuntimeError("tree is not fitted")
-        assert self._feature is not None
-        depth = 0
-        frontier = np.zeros(1, dtype=np.int64)
-        while True:
-            internal = frontier[self._feature[frontier] >= 0]
-            if internal.size == 0:
-                return depth
-            frontier = np.concatenate(
-                (self._left[internal], self._right[internal])
-            )
-            depth += 1
 
 
 class BinnedRegressionTree:
@@ -333,7 +95,11 @@ class BinnedRegressionTree:
         return self
 
     def predict(self, codes: np.ndarray) -> np.ndarray:
-        """Predict for integer feature codes (same binning as fit)."""
+        """Predict for integer feature codes (same binning as fit).
+
+        Routes every row level by level (:func:`_route`), bit-identical
+        to the per-node walk in ``tests/tree_oracle.py``.
+        """
         if self._feature is None:
             raise RuntimeError("tree is not fitted")
         codes = np.asarray(codes)
@@ -534,9 +300,7 @@ class StackedTrees:
     Row ``t`` holds tree ``t``'s parallel node arrays (padded with leaf
     sentinels), so :func:`predict_stacked` can route *all trees × all
     rows* level-synchronously in a handful of array ops instead of one
-    Python-level traversal per tree.  Works for both
-    :class:`RegressionTree` and :class:`BinnedRegressionTree` — they
-    share the same flat layout.
+    Python-level traversal per tree.
     """
 
     feature: np.ndarray  # (n_trees, max_nodes) int64; -1 marks leaves/padding
@@ -582,9 +346,7 @@ def predict_stacked(stacked: StackedTrees, data: np.ndarray) -> np.ndarray:
     Routes every (tree, row) pair one level per pass over the stacked
     arrays; each output row is bit-identical to the corresponding
     tree's own :meth:`predict` (same comparisons, same leaf values).
-    ``data`` is the tree family's native input: float features for
-    :class:`RegressionTree`, integer codes for
-    :class:`BinnedRegressionTree`.
+    ``data`` holds the trees' integer codes.
     """
     data = np.asarray(data)
     if data.ndim != 2:

@@ -216,8 +216,14 @@ class DeploymentCompiler:
         faults: Optional[FaultModel] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> ExecutorSpec:
-        """Fold executor options into a single spec for :func:`make_tuner`."""
-        if faults is None and retry is None:
+        """Fold executor options into a single spec for :func:`make_tuner`.
+
+        ``retry`` acts only on a fault model's failures, so without
+        ``faults`` the spec is ``executor`` unchanged: a compile with
+        neither faults nor an executor measures in process and never
+        speculates.
+        """
+        if faults is None:
             return executor
 
         def spec(measurer):

@@ -47,6 +47,11 @@ VALID_TRANSITIONS = frozenset(
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 
+def _is_int(value: Any) -> bool:
+    """Whether ``value`` is an integer (JSON ``true``/``false`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ServiceError(Exception):
     """Base class of structured service rejections.
 
@@ -137,20 +142,19 @@ class JobSpec:
                 field="arm",
                 choices=sorted(TUNER_REGISTRY),
             )
-        if not isinstance(self.n_trial, int) or self.n_trial < 1:
+        if not _is_int(self.n_trial) or self.n_trial < 1:
             raise ValidationError(
                 "n_trial must be a positive integer", field="n_trial"
             )
         if self.early_stopping is not None and (
-            not isinstance(self.early_stopping, int)
-            or self.early_stopping < 1
+            not _is_int(self.early_stopping) or self.early_stopping < 1
         ):
             raise ValidationError(
                 "early_stopping must be a positive integer or null",
                 field="early_stopping",
             )
         for name in ("trial_seed", "env_seed", "priority"):
-            if not isinstance(getattr(self, name), int):
+            if not _is_int(getattr(self, name)):
                 raise ValidationError(
                     f"{name} must be an integer", field=name
                 )
@@ -162,7 +166,7 @@ class JobSpec:
                 field="tenant",
             )
         if self.max_tasks is not None and (
-            not isinstance(self.max_tasks, int) or self.max_tasks < 1
+            not _is_int(self.max_tasks) or self.max_tasks < 1
         ):
             raise ValidationError(
                 "max_tasks must be a positive integer or null",

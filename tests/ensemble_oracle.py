@@ -46,7 +46,7 @@ def fit(ensemble, X, y, sample_weight: Optional[np.ndarray] = None):
     for _ in range(ensemble.gamma):
         rows = ensemble._rng.integers(0, n, size=n)
         model = ensemble._factory()
-        if ensemble.share_bin_edges and model.method == "hist":
+        if ensemble.share_bin_edges:
             if shared_edges is None:
                 shared_edges = tree_oracle.bin_features(
                     X, n_bins=model.n_bins
@@ -59,7 +59,7 @@ def fit(ensemble, X, y, sample_weight: Optional[np.ndarray] = None):
 
 
 def fit_model(model, X, y, sample_weight=None):
-    """A histogram GBT's fit without early stopping, one tree at a time."""
+    """A GBT's fit, one tree at a time."""
     weight = check_sample_weight(sample_weight, len(y))
     if model.bin_edges is not None:
         model._edges = model.bin_edges
@@ -77,7 +77,7 @@ def fit_model(model, X, y, sample_weight=None):
 
 
 def fit_more(model, X, y, n_rounds, sample_weight=None):
-    """A histogram GBT's warm start, one tree at a time."""
+    """A GBT's warm start, one tree at a time."""
     weight = check_sample_weight(sample_weight, len(y))
     data = apply_bins(X, model._edges)
     pred = model._accumulate(data, len(y))

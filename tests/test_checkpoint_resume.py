@@ -17,6 +17,7 @@ from repro.core.events import CheckpointSaved, TuningResumed
 from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.hardware.executor import build_executor
 from repro.hardware.measure import SimulatedTask
+from repro.learning import tree
 from repro.nn.workloads import DenseWorkload
 from repro.space.space import FeatureCache
 from tests import ensemble_oracle
@@ -35,6 +36,12 @@ ARM_KWARGS = {
     ),
     "droplet": dict(batch_size=8, init_size=6),
 }
+
+#: AutoTVM keeps its cost model between batches only under incremental
+#: refits
+AUTOTVM_KWARGS = dict(
+    batch_size=4, init_size=4, sa_chains=8, sa_steps=10, refit="incremental"
+)
 
 
 def _trace(result):
@@ -93,6 +100,34 @@ def _as_old_ensemble(path, share_bin_edges):
     state.update(fit_jobs=None, share_bin_edges=share_bin_edges)
     assert set(state) == _OLD_ENSEMBLE_ATTRS
     dataclasses.replace(ckpt, payload=pickle.dumps(payload)).save(path)
+
+
+#: the exact-tree and early-stopping settings every
+#: ``GradientBoostedTrees`` pickled while ``method``, ``max_features``,
+#: ``early_stopping_rounds`` and ``validation_fraction`` were still
+#: constructor arguments (at their defaults)
+_OLD_GBT_ATTRS = dict(
+    method="hist", max_features=None, early_stopping_rounds=None,
+    validation_fraction=0.15,
+)
+
+
+def _as_old_models(path):
+    """Give a checkpoint's kept GBTs their old attributes; returns how many.
+
+    The kept GBTs are a BAO ensemble's members and AutoTVM's
+    incrementally refit ``_model``.
+    """
+    ckpt = TuningCheckpoint.load(path)
+    payload = pickle.loads(ckpt.payload)
+    state = payload["tuner_state"]
+    models = list(state["bao"]._ensemble._models) if "bao" in state else []
+    if state.get("_model") is not None:
+        models.append(state["_model"])
+    for model in models:
+        vars(model).update(_OLD_GBT_ATTRS)
+    dataclasses.replace(ckpt, payload=pickle.dumps(payload)).save(path)
+    return len(models)
 
 
 class TestTuningCheckpointFile:
@@ -167,6 +202,30 @@ class TestResumeValidation:
         other = make_tuner("random", other_task, seed=3, batch_size=8)
         with pytest.raises(CheckpointError, match="task"):
             other.resume(path)
+
+    def test_resume_rejects_a_payload_this_build_cannot_load(
+        self, tmp_path, dense_task, monkeypatch
+    ):
+        # a payload naming a class this build lacks (here a tree class
+        # of the learning module) fails as a CheckpointError naming the
+        # checkpoint and the class, not as a bare AttributeError
+        class NoSuchTree:
+            pass
+
+        NoSuchTree.__module__ = tree.__name__
+        NoSuchTree.__qualname__ = "NoSuchTree"
+        monkeypatch.setattr(tree, "NoSuchTree", NoSuchTree, raising=False)
+        path = tmp_path / "t.ckpt"
+        kwargs = ARM_KWARGS["bted+bao"]
+        tuner = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        _crash_after(tuner, n_batches=1, path=path, n_trial=20)
+        _add_tuner_state(path, stale_tree=NoSuchTree())
+        monkeypatch.undo()
+        fresh = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        with pytest.raises(CheckpointError) as excinfo:
+            fresh.resume(path)
+        assert str(path) in str(excinfo.value)
+        assert "NoSuchTree" in str(excinfo.value)
 
 
 class TestCrashResume:
@@ -262,6 +321,44 @@ class TestCrashResume:
         assert TuningCheckpoint.load(path).initialized is (batches > 0)
 
         fresh = make_tuner("bted+bao", dense_task, seed=5, **kwargs)
+        resumed = fresh.resume(path)
+        assert _trace(resumed) == _trace(baseline)
+        assert resumed.best_index == baseline.best_index
+        assert resumed.best_gflops == baseline.best_gflops
+
+    @pytest.mark.parametrize(
+        "arm, kwargs",
+        [
+            ("bted+bao", ARM_KWARGS["bted+bao"]),
+            ("bted+bao", dict(ARM_KWARGS["bted+bao"], refit="incremental")),
+            ("autotvm", AUTOTVM_KWARGS),
+        ],
+        ids=["bted+bao-full", "bted+bao-incremental", "autotvm-incremental"],
+    )
+    @pytest.mark.parametrize("batches", [0, 1, 4])
+    def test_checkpoint_carrying_gbt_knobs_resumes(
+        self, tmp_path, dense_task, arm, kwargs, batches
+    ):
+        # GBTs once pickled ``method``, ``max_features``,
+        # ``early_stopping_rounds`` and ``validation_fraction``; the
+        # resumed models take them back but nothing reads them any more.
+        # ``batches`` measured batches precede the checkpoint: none, the
+        # initial batch, or enough for kept models
+        n_trial = 24
+        baseline = make_tuner(arm, dense_task, seed=5, **kwargs).tune(
+            n_trial=n_trial, early_stopping=None
+        )
+        path = tmp_path / "old.ckpt"
+        tuner = make_tuner(arm, dense_task, seed=5, **kwargs)
+        if batches:
+            _crash_after(tuner, n_batches=batches, path=path, n_trial=n_trial)
+        else:
+            tuner.snapshot(
+                n_trial=n_trial, early_stopping=None, initialized=False
+            ).save(path)
+        assert (_as_old_models(path) > 0) is (batches == 4)
+
+        fresh = make_tuner(arm, dense_task, seed=5, **kwargs)
         resumed = fresh.resume(path)
         assert _trace(resumed) == _trace(baseline)
         assert resumed.best_index == baseline.best_index

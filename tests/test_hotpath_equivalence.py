@@ -1,13 +1,14 @@
 """Equivalence pins for the vectorized hot paths.
 
 Every hot-path optimization must be either bit-identical to the
-reference implementation it replaced (vectorized tree predict against
-the per-node walk in ``tests/tree_oracle.py``, the one-pass histogram
-grower against the single-tree level loop there, boolean-mask kernel
-bandwidth, ``np.isin`` visited filtering, ``FeatureCache``) or, where
-the arithmetic was reassociated (incremental TED against the in-place
-loop in ``tests/ted_oracle.py``), divergent only on floating-point
-near-ties.  These tests check those contracts over random inputs.
+reference implementation it replaced (vectorized histogram-tree
+predict against the per-node walk in ``tests/tree_oracle.py``, the
+one-pass histogram grower against the single-tree level loop there,
+boolean-mask kernel bandwidth, ``np.isin`` visited filtering,
+``FeatureCache``) or, where the arithmetic was reassociated
+(incremental TED against the in-place loop in ``tests/ted_oracle.py``),
+divergent only on floating-point near-ties.  These tests check those
+contracts over random inputs.
 """
 
 import pickle
@@ -23,11 +24,7 @@ from repro.core.events import BatchMeasured, BatchProposed, EventLog
 from repro.core.ted import rbf_kernel, ted_select
 from repro.core.tuners.btedbao import BTEDBAOTuner
 from repro.hardware.measure import SimulatedTask
-from repro.learning.tree import (
-    BinnedRegressionTree,
-    RegressionTree,
-    grow_binned,
-)
+from repro.learning.tree import BinnedRegressionTree, grow_binned
 from repro.nn.workloads import DenseWorkload
 from repro.space.space import FeatureCache
 from repro.utils.mathx import pairwise_sq_dists
@@ -49,50 +46,24 @@ class TestTreePredictEquivalence:
         seed=st.integers(0, 10**6),
         n=st.integers(2, 120),
         d=st.integers(1, 8),
+        n_bins=st.integers(2, 16),
         max_depth=st.integers(1, 9),
         n_test=st.integers(1, 200),
     )
     @PROPERTY
     def test_vectorized_predict_matches_reference(
-        self, seed, n, d, max_depth, n_test
+        self, seed, n, d, n_bins, max_depth, n_test
     ):
         rng = np.random.default_rng(seed)
-        X = rng.random((n, d))
+        codes = rng.integers(0, n_bins, size=(n, d))
         y = rng.random(n)
-        # duplicate feature values exercise ties at split thresholds
-        if n > 4:
-            X[: n // 2] = np.round(X[: n // 2], 1)
-        tree = RegressionTree(max_depth=max_depth, seed=0).fit(X, y)
-        X_test = rng.random((n_test, d))
-        fast = tree.predict(X_test)
-        ref = tree_oracle.predict(tree, X_test)
+        tree = BinnedRegressionTree(n_bins, max_depth=max_depth)
+        tree.fit(codes, y)
+        codes_test = rng.integers(0, n_bins, size=(n_test, d))
+        fast = tree.predict(codes_test)
+        ref = tree_oracle.predict(tree, codes_test)
         assert fast.dtype == ref.dtype
         assert np.array_equal(fast, ref)
-
-    @given(
-        seed=st.integers(0, 10**6),
-        n=st.integers(2, 150),
-        max_depth=st.integers(1, 10),
-    )
-    @PROPERTY
-    def test_iterative_depth_matches_recursive_reference(
-        self, seed, n, max_depth
-    ):
-        rng = np.random.default_rng(seed)
-        X = rng.random((n, 5))
-        y = rng.random(n)
-        tree = RegressionTree(max_depth=max_depth, seed=1).fit(X, y)
-
-        def recursive_depth(node_id):
-            node = tree._nodes[node_id]
-            if node.is_leaf:
-                return 0
-            return 1 + max(
-                recursive_depth(node.left), recursive_depth(node.right)
-            )
-
-        assert tree.depth == recursive_depth(0)
-        assert tree.depth <= max_depth
 
 
 def _exact_scores(K, picks, mu):

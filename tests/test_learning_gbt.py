@@ -20,11 +20,10 @@ def friedman_like(n=400, seed=0):
 
 
 class TestFitQuality:
-    @pytest.mark.parametrize("method", ["hist", "exact"])
-    def test_beats_constant_predictor(self, method):
+    def test_beats_constant_predictor(self):
         X, y = friedman_like()
         model = GradientBoostedTrees(
-            n_estimators=50, max_depth=4, method=method, seed=0
+            n_estimators=50, max_depth=4, seed=0
         ).fit(X, y)
         pred = model.predict(X)
         assert rmse(y, pred) < 0.3 * y.std()
@@ -53,25 +52,6 @@ class TestFitQuality:
         assert model.predict(X) == pytest.approx(np.full(50, 3.0))
 
 
-class TestEarlyStopping:
-    def test_stops_before_budget_on_noise(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(200, 4))
-        y = rng.normal(size=200)  # pure noise: validation error plateaus
-        model = GradientBoostedTrees(
-            n_estimators=200, early_stopping_rounds=5, seed=0
-        ).fit(X, y)
-        assert model.n_trees < 200
-
-    def test_no_validation_for_tiny_data(self):
-        X = np.random.default_rng(0).normal(size=(8, 2))
-        y = np.arange(8.0)
-        model = GradientBoostedTrees(
-            n_estimators=10, early_stopping_rounds=3, seed=0
-        ).fit(X, y)
-        assert model.n_trees == 10
-
-
 class TestDeterminism:
     def test_same_seed_same_model(self):
         X, y = friedman_like(100)
@@ -96,17 +76,6 @@ class TestValidation:
             GradientBoostedTrees(learning_rate=0)
         with pytest.raises(ValueError):
             GradientBoostedTrees(subsample=1.5)
-        with pytest.raises(ValueError):
-            GradientBoostedTrees(method="dart")
-        with pytest.raises(ValueError):
-            GradientBoostedTrees(max_features=0.5)  # needs exact
-
-    def test_max_features_exact_ok(self):
-        X, y = friedman_like(60)
-        model = GradientBoostedTrees(
-            n_estimators=5, method="exact", max_features=0.5, seed=0
-        ).fit(X, y)
-        assert model.n_trees == 5
 
     def test_shape_errors(self):
         model = GradientBoostedTrees()
@@ -140,17 +109,15 @@ class TestValidation:
 class TestInvalidWeights:
     """Negative, NaN, infinite or all-zero weights raise, never fit NaN."""
 
-    @pytest.mark.parametrize("method", ["hist", "exact"])
-    def test_fit_rejects(self, method, bad_weights):
+    def test_fit_rejects(self, bad_weights):
         X, y = friedman_like(30)
-        model = GradientBoostedTrees(n_estimators=3, method=method, seed=0)
+        model = GradientBoostedTrees(n_estimators=3, seed=0)
         with pytest.raises(ValueError, match="weight"):
             model.fit(X, y, sample_weight=bad_weights(30))
 
-    @pytest.mark.parametrize("method", ["hist", "exact"])
-    def test_fit_more_rejects(self, method, bad_weights):
+    def test_fit_more_rejects(self, bad_weights):
         X, y = friedman_like(30)
-        model = GradientBoostedTrees(n_estimators=3, method=method, seed=0)
+        model = GradientBoostedTrees(n_estimators=3, seed=0)
         model.fit(X, y)
         with pytest.raises(ValueError, match="weight"):
             model.fit_more(X, y, 2, sample_weight=bad_weights(30))

@@ -178,8 +178,8 @@ class TestOneGrowerPass:
 
     def test_only_like_histogram_models_boost_together(self):
         X, y, _ = _data(0, 30, 4)
-        hist = GradientBoostedTrees(n_estimators=2, seed=0)
-        exact = GradientBoostedTrees(n_estimators=2, method="exact", seed=0)
-        states = [hist.start_fit(X, y), exact.start_fit(X, y)]
-        with pytest.raises(ValueError, match="boosted together"):
+        slow = GradientBoostedTrees(n_estimators=2, seed=0)
+        fast = GradientBoostedTrees(n_estimators=2, learning_rate=0.5, seed=0)
+        states = [slow.start_fit(X, y), fast.start_fit(X, y)]
+        with pytest.raises(ValueError, match="one learning rate"):
             gbt.boost_rounds(states, 2)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.fleet import Fleet, FleetError
 from repro.hardware.device import GTX_1080_TI
+from repro.hardware.faults import RetryPolicy
 from repro.nn.graph import GraphBuilder
 from repro.obs import RunObservation
 from repro.pipeline.compiler import CompiledModel, DeploymentCompiler, KernelTiming
@@ -188,6 +189,32 @@ class TestCompileContracts:
 
         self._tune(three, observation=observation, progress=progress)
         assert measured_next == [0, 0]
+
+    def _speculations(self, compiler, **kwargs):
+        """A compile's record lines and its tasks' speculation count."""
+        store = RecordStore()
+        observation = RunObservation(enable_metrics=False, enable_trace=False)
+        compiler.tune(
+            "bted", n_trial=32, early_stopping=None, trial_seed=2,
+            tuner_kwargs=dict(BTED_KWARGS), record_store=store,
+            observation=observation, **kwargs,
+        )
+        count = sum(s.speculations for s in observation.summaries())
+        return _lines(store), count
+
+    def test_retry_without_faults_never_speculates(self, three):
+        # a retry policy acts only on a fault model's failures, so
+        # alone it leaves measurement in process, where nothing
+        # speculates
+        plain = self._speculations(three)
+        assert plain[1] == 0
+        assert self._speculations(three, retry=RetryPolicy()) == plain
+
+    def test_device_fault_rate_without_fleet_faults_speculates(self, three):
+        _, count = self._speculations(
+            three, fleet="gtx1080ti:0.25", retry=RetryPolicy()
+        )
+        assert count > 0
 
     def test_compiled_fleet_is_none(self, three):
         assert self._tune(three).fleet is None

@@ -4,7 +4,8 @@ Invariants checked over random datasets:
 
 * boosted ensembles strictly reduce (or preserve) training error as
   rounds are added;
-* binned and exact trees agree on data that is already integer-coded;
+* binned trees and the exact-CART oracle agree on data that is
+  already integer-coded;
 * SA never proposes excluded or out-of-range configurations;
 * rank-model scores are invariant to monotone target transforms.
 """
@@ -15,7 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.learning.gbt import GradientBoostedTrees
 from repro.learning.rank import RankGradientBoostedTrees
-from repro.learning.tree import BinnedRegressionTree, RegressionTree
+from repro.learning.tree import BinnedRegressionTree
+from tests.tree_oracle import RegressionTree
 
 COMMON = settings(
     max_examples=15,

@@ -238,6 +238,22 @@ class TestStructuredErrors:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "invalid_job"
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "n_trial", "early_stopping", "max_tasks", "priority",
+            "trial_seed", "env_seed",
+        ],
+    )
+    def test_boolean_for_an_integer_is_a_400(self, client, field):
+        # JSON true parses to Python's True, an int subclass, but it is
+        # never a budget, a priority or a seed
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(**{**SPEC, field: True})
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "invalid_job"
+        assert excinfo.value.body["error"]["field"] == field
+
     def test_malformed_json_body_is_a_400(self, service):
         request = urllib.request.Request(
             service.url + "/api/jobs",

@@ -1,9 +1,13 @@
-"""Per-tree reference loops, kept as oracles for :mod:`repro.learning.tree`.
+"""Reference trees and loops, kept as oracles for :mod:`repro.learning.tree`.
 
-:meth:`repro.learning.tree.RegressionTree.predict` routes every row
-level by level over flat node arrays; :func:`predict` is the per-node
-walk it replaced: for each distinct active node, route that node's rows
-one step, until every row sits in a leaf.
+:class:`RegressionTree` is exact greedy CART, the split search that
+histogram trees approximate: on data that is already bin codes both
+must reach the same training error.  :func:`predict` is the per-node
+walk that the vectorized routing of
+:meth:`repro.learning.tree.BinnedRegressionTree.predict` replaced: for
+each distinct active node, route that node's rows one step, until
+every row sits in a leaf.  It reads the flat node arrays both tree
+classes share.
 
 :func:`repro.learning.tree.grow_binned` grows one histogram tree per
 ensemble member in one level-wise pass; :func:`fit_binned` is the
@@ -17,30 +21,107 @@ from typing import Optional
 
 import numpy as np
 
-from repro.learning.tree import BinnedRegressionTree, RegressionTree
+from repro.learning.tree import BinnedRegressionTree
 
 
-def predict(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Predict with ``tree`` by walking its node list one node at a time."""
-    if not tree._nodes:
+class RegressionTree:
+    """A binary regression tree fit by exact greedy SSE minimization."""
+
+    def __init__(self, max_depth=6, min_samples_leaf=2,
+                 min_impurity_decrease=1e-12):
+        self.max_depth = max_depth
+        self.min_samples_leaf = min_samples_leaf
+        self.min_impurity_decrease = min_impurity_decrease
+        self._feature = None
+
+    def fit(self, X, y, sample_weight=None):
+        """Grow the tree depth first, one node at a time; returns ``self``."""
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        w = (
+            np.ones(len(y))
+            if sample_weight is None
+            else np.asarray(sample_weight, dtype=np.float64)
+        )
+        nodes = []  # [feature, threshold, left, right, value] per node
+
+        def build(idx, depth):
+            node = len(nodes)
+            mean = np.dot(w[idx], y[idx]) / w[idx].sum()
+            nodes.append([-1, 0.0, -1, -1, mean])
+            if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
+                return node
+            split = self._best_split(X, y, w, idx)
+            if split is not None:
+                mask = X[idx, split[0]] <= split[1]
+                left = build(idx[mask], depth + 1)
+                right = build(idx[~mask], depth + 1)
+                nodes[node][:4] = [*split, left, right]
+            return node
+
+        build(np.arange(len(y)), 0)
+        feature, threshold, left, right, value = zip(*nodes)
+        self._feature = np.array(feature, dtype=np.int64)
+        self._threshold = np.array(threshold, dtype=np.float64)
+        self._left = np.array(left, dtype=np.int64)
+        self._right = np.array(right, dtype=np.int64)
+        self._value = np.array(value, dtype=np.float64)
+        return self
+
+    def _best_split(self, X, y, w, idx):
+        """The (feature, threshold) of largest SSE gain, or ``None``."""
+        total_wy = np.dot(w[idx], y[idx])
+        total_w = w[idx].sum()
+        best_gain = self.min_impurity_decrease
+        best = None
+        for feature in range(X.shape[1]):
+            order = idx[np.argsort(X[idx, feature], kind="stable")]
+            v = X[order, feature]
+            cum_wy = np.cumsum(w[order] * y[order])
+            cum_w = np.cumsum(w[order])
+            # split after position p: the value changes and both
+            # sides keep min_samples_leaf rows
+            p = np.nonzero(v[1:] != v[:-1])[0]
+            p = p[(p + 1 >= self.min_samples_leaf)
+                  & (len(idx) - p - 1 >= self.min_samples_leaf)]
+            if len(p) == 0:
+                continue
+            right_wy = total_wy - cum_wy[p]
+            gains = (cum_wy[p] ** 2 / cum_w[p]
+                     + right_wy ** 2 / (total_w - cum_w[p])
+                     - total_wy ** 2 / total_w)
+            arg = int(np.argmax(gains))
+            if gains[arg] > best_gain:
+                best_gain = gains[arg]
+                best = (feature, 0.5 * (v[p[arg]] + v[p[arg] + 1]))
+        return best
+
+    def predict(self, X):
+        """Predict with the per-node walk."""
+        return predict(self, X)
+
+
+def predict(tree, data: np.ndarray) -> np.ndarray:
+    """Predict with ``tree`` by walking its nodes one node at a time."""
+    if tree._feature is None:
         raise RuntimeError("tree is not fitted")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    out = np.empty(X.shape[0])
-    active = np.zeros(X.shape[0], dtype=np.int64)  # current node per row
-    done = np.zeros(X.shape[0], dtype=bool)
+    data = np.asarray(data)
+    if data.ndim != 2:
+        raise ValueError("data must be 2-D")
+    out = np.empty(data.shape[0])
+    active = np.zeros(data.shape[0], dtype=np.int64)  # current node per row
+    done = np.zeros(data.shape[0], dtype=bool)
     while not done.all():
-        for node_id in np.unique(active[~done]):
-            node = tree._nodes[node_id]
-            rows = np.nonzero((active == node_id) & ~done)[0]
-            if node.is_leaf:
-                out[rows] = node.value
+        for node in np.unique(active[~done]):
+            rows = np.nonzero((active == node) & ~done)[0]
+            feature = tree._feature[node]
+            if feature < 0:
+                out[rows] = tree._value[node]
                 done[rows] = True
             else:
-                go_left = X[rows, node.feature] <= node.threshold
-                active[rows[go_left]] = node.left
-                active[rows[~go_left]] = node.right
+                go_left = data[rows, feature] <= tree._threshold[node]
+                active[rows[go_left]] = tree._left[node]
+                active[rows[~go_left]] = tree._right[node]
     return out
 
 
