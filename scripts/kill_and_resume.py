@@ -16,7 +16,11 @@ Run directly (used by CI)::
 ``--compile``, ``--fleet`` and ``--service`` kill a compile without
 a fleet, a fleet compile and the tuning service instead.  ``--pipeline``
 hands the killed tuner (and the resumed one) an executor, which makes
-it speculate.
+it speculate and puts the build stage in front of that executor;
+``--task resnet18`` tunes ResNet-18's first convolution instead of the
+dense task, so that the build stage keeps unlaunchable configurations
+from the executor and splits batches (the run fails unless the
+baseline holds such a configuration).
 
 Exit code 0 means the determinism contract held.
 """
@@ -48,6 +52,25 @@ ARM_KWARGS = {
     "droplet": {"batch_size": 8, "init_size": 8},
 }
 
+#: the single-tuner modes' tasks, as code building ``task``: the dense
+#: task holds no unlaunchable configuration; about half of what
+#: ``bted+bao`` proposes on ResNet-18's first convolution cannot launch
+TASKS = {
+    "dense": """
+from repro.hardware.measure import SimulatedTask
+from repro.nn.workloads import DenseWorkload
+task = SimulatedTask(
+    DenseWorkload(batch=1, in_features=64, out_features=48), seed=7
+)
+""",
+    "resnet18": """
+from repro.nn.zoo import build_model
+from repro.pipeline.compiler import DeploymentCompiler
+compiler = DeploymentCompiler(build_model("resnet-18"))
+task = compiler.simulated_task(compiler.tasks[0])
+""",
+}
+
 #: the fleet smoke's serial baseline is only valid when every pool slot
 #: is the compiler's own device class (see docs/EXECUTION.md)
 _SERIAL_EQUIVALENT_CLASS = "gtx1080ti"
@@ -62,13 +85,8 @@ sys.path.insert(0, {src!r})
 from repro.core import make_tuner
 from repro.core.checkpoint import CheckpointPolicy
 from repro.hardware.executor import SerialExecutor
-from repro.hardware.measure import SimulatedTask
-from repro.nn.workloads import DenseWorkload
 from repro.obs import TuningObserver
-
-task = SimulatedTask(
-    DenseWorkload(batch=1, in_features=64, out_features=48), seed=7
-)
+{task}
 tuner = make_tuner({arm!r}, task, seed=11, executor={executor}, **{kwargs!r})
 tuner.tune(
     n_trial={n_trial}, early_stopping=None,
@@ -85,19 +103,15 @@ print("CHILD-FINISHED")
 # the comparison payload; wall-clock fields are excluded by
 # construction so bit-equality is meaningful.  Of the metrics, only
 # the checkpoint and resume counters are left out: the baseline writes
-# no checkpoint and never resumes.
+# no checkpoint and never resumes.  ``unlaunchable`` counts the records
+# whose configuration cannot launch (RESOURCE_ERROR).
 _RUNNER = """
 import json, sys
 sys.path.insert(0, {src!r})
 from repro.core import make_tuner
 from repro.hardware.executor import SerialExecutor
-from repro.hardware.measure import SimulatedTask
-from repro.nn.workloads import DenseWorkload
 from repro.obs import Histogram, TuningObserver
-
-task = SimulatedTask(
-    DenseWorkload(batch=1, in_features=64, out_features=48), seed=7
-)
+{task}
 tuner = make_tuner({arm!r}, task, seed=11, executor={executor}, **{kwargs!r})
 observer = TuningObserver()
 if {resume!r}:
@@ -114,6 +128,10 @@ print(json.dumps({{
     ],
     "best_index": result.best_index,
     "best_gflops": result.best_gflops,
+    "unlaunchable": sum(
+        tuner.measurer.build(r.config_index) is not None
+        for r in result.records
+    ),
     "summary": observer.summary().deterministic_dict(),
     "spans": observer.trace.span_skeletons(),
     "metrics": {{
@@ -390,11 +408,11 @@ def _executor(speculate: bool) -> str:
 
 def _run_trace(arm: str, kwargs: dict, n_trial: int, ckpt: str,
                resume: bool, trace_out: str = "",
-               speculate: bool = False) -> dict:
+               speculate: bool = False, task: str = "dense") -> dict:
     code = _RUNNER.format(
         src=str(SRC), arm=arm, kwargs=kwargs, n_trial=n_trial,
         ckpt=ckpt, resume=resume, trace_out=trace_out,
-        executor=_executor(speculate),
+        executor=_executor(speculate), task=TASKS[task],
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -561,6 +579,11 @@ def main() -> int:
                              "cross-mode bit-identity (metrics, which "
                              "count speculations, compare with an "
                              "uninterrupted speculating run)")
+    parser.add_argument("--task", default="dense", choices=sorted(TASKS),
+                        help="single-tuner modes only: the task to tune; "
+                             "resnet18 (ResNet-18's first convolution) "
+                             "must give the baseline at least one "
+                             "configuration that cannot launch")
     parser.add_argument("--service", action="store_true",
                         help="SIGKILL the whole tuning service (`repro "
                              "serve`) mid-job, restart it on the same "
@@ -571,9 +594,12 @@ def main() -> int:
                         help="--service only: copy the final jobs.sqlite "
                              "here (e.g. for a CI artifact)")
     args = parser.parse_args()
-    if args.service and (args.fleet or args.pipeline or args.compile):
+    if args.service and (
+        args.fleet or args.pipeline or args.compile or args.task != "dense"
+    ):
         parser.error(
-            "--service is its own mode; drop --fleet/--pipeline/--compile"
+            "--service is its own mode; drop "
+            "--fleet/--pipeline/--compile/--task"
         )
     if args.service:
         return _service_main(args)
@@ -581,6 +607,8 @@ def main() -> int:
         parser.error("--compile runs without a fleet; drop --fleet")
     if (args.fleet or args.compile) and args.pipeline:
         parser.error("--pipeline is a single-run mode; drop --fleet/--compile")
+    if (args.fleet or args.compile) and args.task != "dense":
+        parser.error("--task is a single-run option; drop --fleet/--compile")
     if args.fleet or args.compile:
         return _fleet_main(args)
     kwargs = ARM_KWARGS[args.arm]
@@ -588,17 +616,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "run.ckpt")
 
-        print(f"[1/4] uninterrupted {args.arm} baseline "
-              f"({args.n_trial} trials)")
+        print(f"[1/4] uninterrupted {args.arm} baseline on the "
+              f"{args.task} task ({args.n_trial} trials)")
         baseline = _run_trace(args.arm, kwargs, args.n_trial, ckpt,
-                              resume=False)
+                              resume=False, task=args.task)
+        if args.task != "dense" and not baseline["unlaunchable"]:
+            print(f"the {args.task} baseline holds no configuration "
+                  "that cannot launch, so the build stage never splits "
+                  "a batch; raise --n-trial", file=sys.stderr)
+            return 1
         if args.pipeline:
             # the serial baseline pins records, summary and spans across
             # modes; the metrics count speculations, so they compare
             # with an uninterrupted speculating run
             baseline["metrics"] = _run_trace(
                 args.arm, kwargs, args.n_trial, ckpt, resume=False,
-                speculate=True,
+                speculate=True, task=args.task,
             )["metrics"]
 
         mode = "speculating " if args.pipeline else ""
@@ -607,7 +640,7 @@ def main() -> int:
             [sys.executable, "-c", _CHILD.format(
                 src=str(SRC), arm=args.arm, kwargs=kwargs,
                 n_trial=args.n_trial, ckpt=ckpt,
-                executor=_executor(args.pipeline),
+                executor=_executor(args.pipeline), task=TASKS[args.task],
             )],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
@@ -641,7 +674,7 @@ def main() -> int:
         print("[4/4] resuming in a fresh process and comparing")
         resumed = _run_trace(args.arm, kwargs, args.n_trial, ckpt,
                              resume=True, trace_out=args.trace_out or "",
-                             speculate=args.pipeline)
+                             speculate=args.pipeline, task=args.task)
 
         if resumed != baseline:
             print("MISMATCH: resumed run diverged from the baseline",
@@ -671,7 +704,8 @@ def main() -> int:
         if args.trace_out:
             print(f"resumed trace written to {args.trace_out}")
         print(f"OK: SIGKILL + resume reproduced all "
-              f"{len(baseline['records'])} records, the incumbent "
+              f"{len(baseline['records'])} records "
+              f"({baseline['unlaunchable']} unlaunchable), the incumbent "
               f"(best config {baseline['best_index']}), the run summary, "
               f"all {len(baseline['spans'])} trace span skeletons and "
               f"{len(baseline['metrics'])} metrics")

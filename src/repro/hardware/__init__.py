@@ -28,6 +28,7 @@ from repro.hardware.measure import (
     SimulatedTask,
 )
 from repro.hardware.executor import (
+    BuildStage,
     FaultInjectingExecutor,
     MeasureExecutor,
     SerialExecutor,
@@ -58,6 +59,7 @@ __all__ = [
     "SimulatedTask",
     "MeasureExecutor",
     "SerialExecutor",
+    "BuildStage",
     "FaultInjectingExecutor",
     "build_executor",
     "FaultKind",

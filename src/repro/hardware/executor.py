@@ -1,12 +1,15 @@
-"""Measurement execution: one backend and its decorator, one batch contract.
+"""Measurement execution: one backend and two decorators, one batch contract.
 
 The tuning loop proposes batches of configurations; *how* a batch gets
 deployed is this module's concern.  :class:`MeasureExecutor` is the
 interface (AutoTVM's ``measure_batch`` contract), with one backend and
-one decorator:
+two decorators:
 
 * :class:`SerialExecutor` — deploys the batch in order in-process
   (the default).
+* :class:`BuildStage` — a decorator that rejects configurations which
+  cannot launch on the host and passes only launchable ones to the
+  executor it wraps (a board, a runner, an emulator).
 * :class:`FaultInjectingExecutor` — a decorator that subjects each
   measurement to deterministic transient faults with retry/backoff.
 
@@ -22,6 +25,7 @@ via their ``executor=`` argument — see :func:`build_executor`.
 from __future__ import annotations
 
 import time
+from itertools import groupby
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.hardware.faults import (
@@ -132,6 +136,66 @@ class SerialExecutor(MeasureExecutor):
 
 
 # ----------------------------------------------------------------------
+# build stage
+
+
+class BuildStage(MeasureExecutor):
+    """Decorator executor that rejects unlaunchable configurations early.
+
+    AutoTVM builds every schedule on the host and checks it against the
+    device's thread, shared-memory and register limits, so a
+    configuration that cannot launch never reaches the board.  This
+    stage does the same with :meth:`~repro.hardware.measure.Measurer.\
+build`: each batch's unlaunchable configurations get their
+    ``RESOURCE_ERROR`` result on the host, and the wrapped executor
+    receives only the maximal runs of launchable ones, each after a
+    ``sync_ordinal`` to the run's position in the batch (and one past
+    the batch at the end).  Every configuration keeps its ordinal, so
+    the results equal the wrapped executor's on the whole batch.
+    """
+
+    def __init__(self, inner: MeasureExecutor):
+        self.inner = inner
+
+    @property
+    def measurer(self) -> Measurer:
+        return self.inner.measurer
+
+    @property
+    def num_measurements(self) -> int:
+        return self.inner.num_measurements
+
+    def sync_ordinal(self, ordinal: int) -> None:
+        """Continue the inner ordinal stream from ``ordinal``."""
+        self.inner.sync_ordinal(ordinal)
+
+    def drain_fault_outcomes(self) -> List[FaultOutcome]:
+        """Forward to the wrapped executor."""
+        return self.inner.drain_fault_outcomes()
+
+    def measure_batch(
+        self, config_indices: Sequence[int]
+    ) -> List[MeasureResult]:
+        """Build the batch, deploying only the launchable runs."""
+        indices = [int(i) for i in config_indices]
+        start = self.inner.num_measurements
+        results = [self.measurer.build(i) for i in indices]
+        pos = 0
+        for launchable, run in groupby([r is None for r in results]):
+            end = pos + sum(1 for _ in run)
+            if launchable:
+                self.inner.sync_ordinal(start + pos)
+                results[pos:end] = self.inner.measure_batch(indices[pos:end])
+            pos = end
+        self.inner.sync_ordinal(start + len(indices))
+        return results
+
+    def close(self) -> None:
+        """Close the wrapped executor."""
+        self.inner.close()
+
+
+# ----------------------------------------------------------------------
 # fault injection
 
 #: how an injected FaultKind is reported when retries run out
@@ -145,7 +209,9 @@ _FAULT_ERROR_KINDS = {
 class FaultInjectingExecutor(MeasureExecutor):
     """Decorator executor that subjects measurements to transient faults.
 
-    Wraps any executor composition (it should sit outermost).  Each
+    Wraps any executor composition (it sits outermost, above a
+    :class:`BuildStage`, so unlaunchable configurations keep their
+    fault ordinals too).  Each
     submitted configuration consumes one fault ordinal; the wrapped
     :class:`~repro.hardware.faults.FaultModel` decides — purely from
     that ordinal — how many consecutive attempts fault and with which
@@ -278,11 +344,15 @@ def build_executor(
     """Resolve an executor spec against a measurer.
 
     ``spec`` may be ``None`` (a :class:`SerialExecutor`), an existing
-    :class:`MeasureExecutor` (returned as-is), or a factory callable
-    ``measurer -> MeasureExecutor``; anything else raises
-    :class:`ValueError`.  ``faults`` wraps the result in a
-    :class:`FaultInjectingExecutor` with ``retry`` (default policy when
-    omitted).
+    :class:`MeasureExecutor`, or a factory callable ``measurer ->
+    MeasureExecutor``; anything else raises :class:`ValueError`.  A
+    handed-in or factory-built executor is wrapped in a
+    :class:`BuildStage` unless it already is one or a
+    :class:`FaultInjectingExecutor` (a composition built here before);
+    the default needs none, since its measurer already is the check.
+    ``faults`` wraps the result in a :class:`FaultInjectingExecutor`
+    with ``retry`` (default policy when omitted), so the composition is
+    ``FaultInjectingExecutor(BuildStage(executor))``.
     """
     if isinstance(spec, MeasureExecutor):
         executor = spec
@@ -295,6 +365,10 @@ def build_executor(
             f"unknown executor spec {spec!r}; expected None, an executor, "
             "or a factory"
         )
+    if spec is not None and not isinstance(
+        executor, (BuildStage, FaultInjectingExecutor)
+    ):
+        executor = BuildStage(executor)
     if faults is not None and not isinstance(
         executor, FaultInjectingExecutor
     ):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -199,6 +199,31 @@ class Measurer:
         self.num_measurements += 1
         return self.measure_at(ordinal, config_index)
 
+    def build(self, config_index: int) -> Optional[MeasureResult]:
+        """Check that a configuration launches, without deploying it.
+
+        Returns ``None`` for a launchable configuration and otherwise
+        the ``RESOURCE_ERROR`` result :meth:`measure_at` returns for it
+        at any ordinal: like AutoTVM's builder, the host rejects a
+        schedule that exceeds the device's thread, shared-memory or
+        register limits before it costs board time.
+        """
+        built = self._build(config_index)
+        return built if isinstance(built, MeasureResult) else None
+
+    def _build(self, config_index: int) -> Union[KernelProfile, MeasureResult]:
+        """The configuration's profile, or its ``RESOURCE_ERROR`` result."""
+        try:
+            return self.task.profile_of(config_index)
+        except ResourceError as exc:
+            return MeasureResult(
+                config_index=config_index,
+                gflops=0.0,
+                mean_time_s=float("inf"),
+                error_kind=MeasureErrorKind.RESOURCE_ERROR,
+                error_msg=str(exc),
+            )
+
     def measure_at(self, ordinal: int, config_index: int) -> MeasureResult:
         """Deploy one configuration at an explicit sequence position.
 
@@ -208,16 +233,9 @@ class Measurer:
         for bit from a given ordinal.
         """
         task = self.task
-        try:
-            profile = task.profile_of(config_index)
-        except ResourceError as exc:
-            return MeasureResult(
-                config_index=config_index,
-                gflops=0.0,
-                mean_time_s=float("inf"),
-                error_kind=MeasureErrorKind.RESOURCE_ERROR,
-                error_msg=str(exc),
-            )
+        profile = self._build(config_index)
+        if isinstance(profile, MeasureResult):
+            return profile
 
         factor = task.terrain.factor(task.space.features_of(config_index))
         true_time = profile.time_s / max(factor, 1e-9)

@@ -34,7 +34,8 @@ from typing import Callable, Dict, List
 #: * ``refit`` ``(rows, duration_s, kind)`` — a surrogate-model refit
 #:   completed (``BootstrapEnsemble.fit``)
 #: * ``measure`` ``(backend, n_configs, duration_s)`` — an executor
-#:   deployed a batch (``SerialExecutor``, backend ``"serial"``)
+#:   deployed a batch (``SerialExecutor``, backend ``"serial"``); behind
+#:   a ``BuildStage`` that is one run of launchable configurations
 #: * ``refit_reuse`` ``(reused_trees,)`` — an incremental refit reused
 #:   previously grown trees (``GradientBoostedTrees``)
 POINTS = ("refit", "measure", "refit_reuse")

@@ -136,7 +136,10 @@ class JobSpec:
                 field="model",
                 choices=sorted(MODEL_BUILDERS),
             )
-        if self.arm.lower() not in TUNER_REGISTRY:
+        if (
+            not isinstance(self.arm, str)
+            or self.arm.lower() not in TUNER_REGISTRY
+        ):
             raise ValidationError(
                 f"unknown arm {self.arm!r}",
                 field="arm",
@@ -175,6 +178,11 @@ class JobSpec:
         if self.devices is not None:
             from repro.fleet.devices import parse_fleet
 
+            if not isinstance(self.devices, str):
+                raise ValidationError(
+                    "devices must be a fleet spec string or null",
+                    field="devices",
+                )
             try:
                 parse_fleet(self.devices)
             except (ValueError, KeyError) as exc:

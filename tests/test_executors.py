@@ -13,10 +13,13 @@ import pytest
 
 from repro.core import make_tuner
 from repro.hardware.executor import (
+    BuildStage,
+    FaultInjectingExecutor,
     MeasureExecutor,
     SerialExecutor,
     build_executor,
 )
+from repro.hardware.faults import FaultModel
 from repro.hardware.measure import Measurer
 
 
@@ -58,13 +61,37 @@ class TestSerialExecutor:
 class TestBuildExecutor:
     def test_spec_resolution(self, dense_task):
         measurer = Measurer(dense_task, seed=3)
-        assert isinstance(build_executor(measurer), SerialExecutor)
+        # the default measures in process: its measurer is the build check
+        assert type(build_executor(measurer)) is SerialExecutor
+        # a handed-in executor sits directly inside the build stage
         ready = SerialExecutor(measurer)
-        assert build_executor(measurer, ready) is ready
+        staged = build_executor(measurer, ready)
+        assert isinstance(staged, BuildStage)
+        assert staged.inner is ready
         built = build_executor(measurer, _serial_factory)
-        assert isinstance(built, SerialExecutor)
-        assert built is not ready  # the factory built a fresh executor
+        assert isinstance(built, BuildStage)
+        assert type(built.inner) is SerialExecutor
+        assert built.inner is not ready  # the factory built a fresh executor
         assert built.measurer is measurer
+        # a composition built before is never wrapped again
+        assert build_executor(measurer, staged) is staged
+
+    def test_composition_order(self, dense_task):
+        measurer = Measurer(dense_task, seed=3)
+        faults = FaultModel(rate=0.1, seed=1)
+        ready = SerialExecutor(measurer)
+        # the fault injector sits above the build stage, never below it
+        outer = build_executor(measurer, ready, faults=faults)
+        assert isinstance(outer, FaultInjectingExecutor)
+        assert isinstance(outer.inner, BuildStage)
+        assert outer.inner.inner is ready
+        # the default composition has no build stage
+        default = build_executor(measurer, None, faults=faults)
+        assert type(default.inner) is SerialExecutor
+        # a fault injector handed in (the compiler's fault factory
+        # returns one) is used as it is
+        assert build_executor(measurer, outer) is outer
+        assert build_executor(measurer, lambda m: outer) is outer
 
     def test_unknown_spec_raises(self, dense_task):
         # the retired string specs are unknown too, also to tuners

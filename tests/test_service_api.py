@@ -254,6 +254,23 @@ class TestStructuredErrors:
         assert excinfo.value.code == "invalid_job"
         assert excinfo.value.body["error"]["field"] == field
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arm", 5), ("arm", True), ("arm", None), ("arm", ["random"]),
+            ("devices", 5), ("devices", True), ("devices", {"a": 1}),
+            ("devices", ["gtx1080ti"]),
+        ],
+    )
+    def test_non_string_name_is_a_400(self, client, field, value):
+        # a JSON number, boolean, null, object or list where an arm name
+        # or a fleet spec belongs is the client's error, never a 500
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit(**{**SPEC, field: value})
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "invalid_job"
+        assert excinfo.value.body["error"]["field"] == field
+
     def test_malformed_json_body_is_a_400(self, service):
         request = urllib.request.Request(
             service.url + "/api/jobs",
