@@ -14,7 +14,10 @@ Run directly (used by CI)::
     python scripts/kill_and_resume.py [--arm bted] [--n-trial 32]
 
 ``--compile``, ``--fleet`` and ``--service`` kill a compile without
-a fleet, a fleet compile and the tuning service instead.  ``--pipeline``
+a fleet, a fleet compile and the tuning service instead; the compile
+speculates and looks one task ahead, and ``--compile --kill-task 1``
+kills it as soon as the second task's step-0 snapshot exists, the one
+carrying the first batch proposed ahead.  ``--pipeline``
 hands the killed tuner (and the resumed one) an executor, which makes
 it speculate and puts the build stage in front of that executor;
 ``--task resnet18`` tunes ResNet-18's first convolution instead of the
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -455,7 +459,9 @@ def _fleet_main(args) -> int:
     same spec — kill/resume must not change a single record.
     ``--compile`` kills a compile without a fleet, whose checkpoints
     sit directly in the checkpoint directory, and compares the resumed
-    compile to an uninterrupted serial one.
+    compile to an uninterrupted serial one; with ``--kill-task N``
+    (N > 0) the kill lands as soon as task N's first checkpoint, its
+    step-0 snapshot, exists.
     """
     kwargs = ARM_KWARGS[args.arm]
     fleet = not args.compile
@@ -494,15 +500,19 @@ def _fleet_main(args) -> int:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         # wait until some task checkpoint has been rewritten after its
-        # step-0 snapshot — i.e. a worker is mid-batch
+        # step-0 snapshot — i.e. a worker is mid-batch — or, with
+        # --kill-task, until that task's step-0 snapshot exists
         deadline = time.monotonic() + args.timeout
         first_mtimes: dict = {}
         killed_mid_run = False
+        target = Path(ckpt_dir) / f"task-{args.kill_task:03d}.ckpt"
         while time.monotonic() < deadline:
+            if args.kill_task:
+                killed_mid_run = target.exists()
             for path in Path(ckpt_dir).glob(pattern):
                 mtime = path.stat().st_mtime_ns
                 seen = first_mtimes.setdefault(path, mtime)
-                if mtime != seen:
+                if mtime != seen and not args.kill_task:
                     killed_mid_run = True
             if killed_mid_run or child.poll() is not None:
                 break
@@ -515,6 +525,24 @@ def _fleet_main(args) -> int:
         print(f"[3/4] delivering SIGKILL to the {what} mid-batch")
         child.send_signal(signal.SIGKILL)
         child.wait()
+        if args.kill_task:
+            # the kill must land inside the lookahead window: at the
+            # step-0 snapshot that carries the batch proposed ahead
+            sys.path.insert(0, str(SRC))
+            from repro.core.checkpoint import TuningCheckpoint
+
+            ckpt = TuningCheckpoint.load(target)
+            pending = pickle.loads(ckpt.payload).get("pending")
+            if ckpt.step != 0 or pending is None:
+                print(f"task {args.kill_task} was killed at its step-"
+                      f"{ckpt.step} snapshot "
+                      f"({'without' if pending is None else 'with'} a "
+                      "pending batch); the kill must land at the step-0 "
+                      "snapshot of a task prepared ahead", file=sys.stderr)
+                return 1
+            print(f"      task {args.kill_task} was killed at its step-0 "
+                  f"snapshot, carrying {len(pending['batch'])} "
+                  "configurations proposed ahead")
         if not list(Path(ckpt_dir).glob(pattern.replace(".ckpt", ""))):
             print(f"no {what} checkpoints survived the kill",
                   file=sys.stderr)
@@ -569,6 +597,11 @@ def main() -> int:
                              "(checkpoints directly in the directory) "
                              "mid-batch, resume it, and compare against "
                              "an uninterrupted serial compile")
+    parser.add_argument("--kill-task", type=int, default=0, metavar="N",
+                        help="--compile only: with N > 0, SIGKILL the "
+                             "compile as soon as task N's step-0 "
+                             "snapshot exists (the default 0 waits for "
+                             "any task's checkpoint to be rewritten)")
     parser.add_argument("--devices", default="gtx1080ti,gtx1080ti",
                         help="fleet spec for --fleet (comma-separated "
                              "presets, optional :fault_rate suffixes)")
@@ -605,6 +638,10 @@ def main() -> int:
         return _service_main(args)
     if args.compile and args.fleet:
         parser.error("--compile runs without a fleet; drop --fleet")
+    if args.kill_task and not args.compile:
+        parser.error("--kill-task is a --compile option")
+    if not 0 <= args.kill_task <= 1:
+        parser.error("--kill-task must be 0 or 1: the compile has two tasks")
     if (args.fleet or args.compile) and args.pipeline:
         parser.error("--pipeline is a single-run mode; drop --fleet/--compile")
     if (args.fleet or args.compile) and args.task != "dense":

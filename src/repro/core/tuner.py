@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -65,6 +65,7 @@ from repro.hardware.executor import (
     MeasureExecutor,
     SerialExecutor,
     build_executor,
+    check_executor_spec,
 )
 from repro.hardware.measure import Measurer, MeasureResult, SimulatedTask
 from repro.obs import hooks
@@ -85,6 +86,8 @@ _EPHEMERAL_STATE = (
     "_executor_spec",
     "_event_sinks",
     "_pending_events",
+    "_prepared",
+    "on_first_dispatch",
 )
 
 #: sentinel distinguishing "argument omitted" from an explicit ``None``
@@ -103,20 +106,24 @@ class SpaceSamplingError(RuntimeError):
 
 @dataclass
 class _PendingProposal:
-    """A batch proposed speculatively, waiting to be consumed next iteration.
+    """A batch proposed ahead of its turn, waiting to be consumed.
 
-    Carried across loop iterations with speculation on (and, via the
-    checkpoint ``pending`` payload, across resumes): the batch itself, the
-    proposal wall-time to report on its :class:`BatchProposed` event,
-    whether the speculation found the space exhausted, and the
-    observability notifications captured on the worker thread, to be
-    replayed on the driving thread when the proposal is consumed.
+    Carried across loop iterations with speculation on, from
+    :meth:`Tuner.propose_initial` into :meth:`Tuner.tune`, and (via the
+    checkpoint ``pending`` payload) across resumes: the batch itself,
+    the proposal wall-time to report on its :class:`BatchProposed`
+    event, whether the proposal found the space exhausted, the
+    observability notifications captured on the proposing thread, to
+    be replayed on the driving thread when the proposal is consumed,
+    and the policy events it queued (once ``tune`` takes the proposal
+    over they live in the tuner's queue instead).
     """
 
     batch: List[int]
     proposal_s: float
     exhausted: bool
     captured: list
+    events: list = field(default_factory=list)
 
 
 @dataclass
@@ -274,11 +281,14 @@ class Tuner:
     ``executor`` selects the measurement backend: ``None`` (a
     :class:`~repro.hardware.executor.SerialExecutor`, the default), a
     ``measurer -> MeasureExecutor`` factory, or a ready executor
-    instance; any other value raises :class:`ValueError`.  The default
-    is resolved lazily against :attr:`measurer` at each :meth:`tune`
-    call, so tests that swap the measurer keep working.  A tuner handed
-    an executor speculates (see :meth:`tune`); one measuring through
-    its own in-process simulator never does.
+    instance; any other value raises :class:`ValueError`.  Nothing is
+    built in the constructor: a handed-in spec is resolved once, when
+    :meth:`tune` (or :meth:`resume`) starts, so a tuner built ahead of
+    its turn holds no executor; the default is resolved against
+    :attr:`measurer` at each :meth:`tune` call, so tests that swap the
+    measurer keep working.  A tuner handed an executor speculates (see
+    :meth:`tune`); one measuring through its own in-process simulator
+    never does.
 
     ``warm_start`` (a :class:`~repro.tlog.WarmStartPlan`, default off)
     injects prior tuning-log configurations at the head of the
@@ -312,10 +322,17 @@ TransferHistory`.  The injection happens once, inside the
         self.measurer = Measurer(
             task, seed=self.rng_pool.seed_for("measure"), repeats=measure_repeats
         )
+        check_executor_spec(executor)  # built later, but rejected now
         self._executor_spec = executor
         self._executor: Optional[MeasureExecutor] = None
-        if executor is not None:
-            self._executor = build_executor(self.measurer, executor)
+        #: the first batch :meth:`propose_initial` proposed ahead of tune
+        self._prepared: Optional[_PendingProposal] = None
+        #: called once, on the driving thread, as :meth:`tune` hands its
+        #: first batch to the executor, with the ``submit`` of the run's
+        #: worker thread (a compile prepares its next task there)
+        self.on_first_dispatch: Optional[
+            Callable[[Callable[..., Future]], None]
+        ] = None
 
         # measured state, shared with subclasses
         self.visited: Set[int] = set()
@@ -335,10 +352,16 @@ TransferHistory`.  The injection happens once, inside the
 
     @property
     def executor(self) -> MeasureExecutor:
-        """The measurement executor used by :meth:`tune`."""
-        if self._executor is not None:
-            return self._executor
-        return SerialExecutor(self.measurer)
+        """The measurement executor used by :meth:`tune`.
+
+        A handed-in spec is built on first use and kept; without one
+        this is a fresh in-process executor over :attr:`measurer`.
+        """
+        if self._executor is None:
+            if self._executor_spec is None:
+                return SerialExecutor(self.measurer)
+            self._executor = build_executor(self.measurer, self._executor_spec)
+        return self._executor
 
     @property
     def num_measured(self) -> int:
@@ -588,13 +611,33 @@ TransferHistory`.  The injection happens once, inside the
         overlap wall-time they report, and the ``pending`` payload
         speculative checkpoints carry.  A tuner measuring through its
         own in-process simulator has nothing to overlap and never
-        speculates; the worker thread starts at the first dispatch.
+        speculates; the worker thread starts at the first dispatch.  An
+        :attr:`on_first_dispatch` callback gets that thread too, behind
+        the first speculation; a tuner that does not speculate starts
+        the thread for the callback alone.
+
+        A first batch proposed ahead by :meth:`propose_initial` is
+        consumed first, as a checkpoint's pending proposal is: the
+        step-0 snapshot carries it as ``pending``, and its policy events
+        and hook notifications are delivered here, where proposing it
+        would have fired them.
         """
         if n_trial <= 0:
             raise ValueError("n_trial must be positive")
         start = time.perf_counter()
         policy = as_checkpoint_policy(checkpoint)
+        # a batch proposed before this call — ahead of the run, or by a
+        # speculation a checkpoint carries — is consumed first
+        current, self._prepared = self._prepared, None
         resume_pending = _resume.get("pending") if _resume is not None else None
+        if resume_pending is not None:
+            current = _PendingProposal(
+                batch=[int(i) for i in resume_pending["batch"]],
+                proposal_s=float(resume_pending["proposal_s"]),
+                exhausted=bool(resume_pending["exhausted"]),
+                captured=list(resume_pending["captured"]),
+                events=list(resume_pending.get("events") or ()),
+            )
         if _resume is not None:
             records: List[TrialRecord] = list(_resume["records"])
             stopper = self._restore_stopper(
@@ -611,12 +654,15 @@ TransferHistory`.  The injection happens once, inside the
             initialized = False
         stop = False
         executor = self.executor
-        speculate = self._executor is not None
+        speculate = self._executor_spec is not None
         self._event_sinks = tuple(on_event)
         self._pending_events.clear()
+        if current is not None:
+            self._pending_events.extend(current.events)
+            initialized = True
         batches_since_checkpoint = 0
-        current: Optional[_PendingProposal] = None
         pool: Optional[ThreadPoolExecutor] = None
+        spec_measurer: Optional[Measurer] = None
         for sink in self._event_sinks:
             begin = getattr(sink, "on_tune_begin", None)
             if callable(begin):
@@ -631,31 +677,18 @@ TransferHistory`.  The injection happens once, inside the
                 )
             elif policy is not None:
                 # step-0 snapshot: a crash inside the very first batch
-                # is resumable too (resuming it replays the whole run)
+                # is resumable too (resuming it replays the whole run,
+                # or consumes the first batch proposed ahead)
                 self._save_checkpoint(
                     policy, records, stopper, n_trial, early_stopping,
-                    initialized=False, callbacks=callbacks,
+                    initialized=initialized, callbacks=callbacks,
+                    pending=self._pending_payload(current),
                 )
-            if resume_pending is not None:
-                # a speculative checkpoint carries an already-proposed
-                # batch: it is consumed first, speculating or not
-                current = _PendingProposal(
-                    batch=[int(i) for i in resume_pending["batch"]],
-                    proposal_s=float(resume_pending["proposal_s"]),
-                    exhausted=bool(resume_pending["exhausted"]),
-                    captured=list(resume_pending["captured"]),
-                )
-                self._pending_events.extend(
-                    resume_pending.get("events") or ()
-                )
-                initialized = True
             while not stop and len(records) < n_trial:
                 if current is None:
                     proposal_start = time.perf_counter()
                     if not initialized:
-                        batch = self._filter_unvisited(
-                            self._inject_warm_start(self._generate_initial())
-                        )
+                        batch = self._initial_batch()
                         initialized = True
                         self._flush_policy_events()
                         if not batch:
@@ -676,6 +709,8 @@ TransferHistory`.  The injection happens once, inside the
                     proposal_s = current.proposal_s
                     exhausted = current.exhausted
                     current = None
+                    if not batch and not exhausted:
+                        break  # an empty initial batch, proposed ahead
                 if exhausted:
                     self._emit(SpaceExhausted(step=len(records)))
                     logger.info("%s: search space exhausted", self.name)
@@ -697,20 +732,23 @@ TransferHistory`.  The injection happens once, inside the
                 if speculate and len(records) + len(batch) < n_trial:
                     rollback = self._rollback_snapshot()
                     speculate = rollback is not None
+                if pool is None and (
+                    rollback is not None or self.on_first_dispatch is not None
+                ):
+                    pool = ThreadPoolExecutor(
+                        max_workers=1,
+                        thread_name_prefix=f"{self.name}-speculate",
+                    )
                 if rollback is not None:
-                    if pool is None:
+                    if spec_measurer is None:
                         # the prediction measurer is a clone synced to
                         # the executor's pre-batch ordinal each dispatch;
                         # prediction never advances the real stream
-                        spec_measurer: Measurer = pickle.loads(
+                        spec_measurer = pickle.loads(
                             pickle.dumps(
                                 self.measurer,
                                 protocol=pickle.HIGHEST_PROTOCOL,
                             )
-                        )
-                        pool = ThreadPoolExecutor(
-                            max_workers=1,
-                            thread_name_prefix=f"{self.name}-speculate",
                         )
                     future = pool.submit(
                         self._speculate,
@@ -720,6 +758,12 @@ TransferHistory`.  The injection happens once, inside the
                         executor.num_measurements,
                         n_trial,
                     )
+                if self.on_first_dispatch is not None:
+                    # queued behind the first speculation, if any
+                    start_next, self.on_first_dispatch = (
+                        self.on_first_dispatch, None
+                    )
+                    start_next(pool.submit)
                 measure_start = time.perf_counter()
                 try:
                     results = executor.measure_batch(batch)
@@ -836,6 +880,41 @@ TransferHistory`.  The injection happens once, inside the
             wall_time_s=wall,
         )
 
+    def _initial_batch(self) -> List[int]:
+        """The initialization batch: the arm's, warm-started, unvisited."""
+        return self._filter_unvisited(
+            self._inject_warm_start(self._generate_initial())
+        )
+
+    def propose_initial(self) -> None:
+        """Propose the first batch now, for the next :meth:`tune` to consume.
+
+        Runs what :meth:`tune` runs before its first dispatch — the
+        arm's initial design, warm-start injection, the unvisited
+        filter — on the calling thread, so a compile can prepare a task
+        on the worker thread of the one before while the board measures
+        that task's first batch.
+        Policy events stay queued and hook notifications are captured;
+        :meth:`tune` delivers both on its own thread, where proposing
+        the batch would have fired them.  Touches no executor.
+        """
+        self._pending_events = []
+        captured = hooks.capture_begin()
+        start = time.perf_counter()
+        try:
+            batch = self._initial_batch()
+        finally:
+            hooks.capture_end(captured)
+        # not exhausted: an empty initial batch ends the run quietly
+        self._prepared = _PendingProposal(
+            batch=batch,
+            proposal_s=time.perf_counter() - start,
+            exhausted=False,
+            captured=captured,
+            events=self._pending_events,
+        )
+        self._pending_events = []
+
     def _propose_next(self) -> List[int]:
         """Propose the next batch, never revisiting a measured config.
 
@@ -930,12 +1009,13 @@ TransferHistory`.  The injection happens once, inside the
     def _pending_payload(
         self, current: Optional[_PendingProposal]
     ) -> Optional[dict]:
-        """Checkpoint payload for an adopted-but-unconsumed proposal.
+        """Checkpoint payload for a proposed-but-unconsumed batch.
 
-        ``events`` carries the speculation's queued policy events: they
-        are ephemeral on the tuner (cleared by :meth:`tune`), so a
-        resumed run restores them from here before consuming the
-        pending batch.
+        That is an adopted speculation's proposal, or the first batch
+        :meth:`propose_initial` proposed ahead.  ``events`` carries the
+        proposal's queued policy events: they are ephemeral on the tuner
+        (cleared by :meth:`tune`), so a resumed run restores them from
+        here before consuming the pending batch.
         """
         if current is None:
             return None
@@ -973,10 +1053,10 @@ TransferHistory`.  The injection happens once, inside the
         constructor arguments, so :meth:`resume` rebuilds them from the
         resuming tuner and validates identity via the task fingerprint.
 
-        ``pending`` (speculating runs only) is the
-        adopted-but-unconsumed speculative proposal from
-        :meth:`Tuner._pending_payload`; a resume consumes it first,
-        whether or not the resuming tuner speculates.
+        ``pending`` (speculating runs, and the step-0 snapshot of a run
+        whose first batch was proposed ahead) is the proposed-but-
+        unconsumed batch from :meth:`Tuner._pending_payload`; a resume
+        consumes it first, whether or not the resuming tuner speculates.
         """
         payload_dict = {
             "tuner_state": self._resumable_state(),
@@ -1113,10 +1193,10 @@ TransferHistory`.  The injection happens once, inside the
             ) from exc
         for key, value in payload["tuner_state"].items():
             setattr(self, key, value)
+        self._prepared = None  # the checkpoint's own state supersedes it
         ordinal = int(payload["measured_ordinal"])
         self.measurer.num_measurements = ordinal
-        if self._executor is not None:
-            self._executor.sync_ordinal(ordinal)
+        self.executor.sync_ordinal(ordinal)
         return payload
 
     @staticmethod

@@ -335,6 +335,18 @@ class FaultInjectingExecutor(MeasureExecutor):
 # spec resolution
 
 
+def check_executor_spec(spec: ExecutorSpec) -> None:
+    """Raise :class:`ValueError` unless ``spec`` is ``None``, a
+    :class:`MeasureExecutor` or a factory callable."""
+    if spec is not None and not (
+        isinstance(spec, MeasureExecutor) or callable(spec)
+    ):
+        raise ValueError(
+            f"unknown executor spec {spec!r}; expected None, an executor, "
+            "or a factory"
+        )
+
+
 def build_executor(
     measurer: Measurer,
     spec: ExecutorSpec = None,
@@ -345,26 +357,23 @@ def build_executor(
 
     ``spec`` may be ``None`` (a :class:`SerialExecutor`), an existing
     :class:`MeasureExecutor`, or a factory callable ``measurer ->
-    MeasureExecutor``; anything else raises :class:`ValueError`.  A
-    handed-in or factory-built executor is wrapped in a
-    :class:`BuildStage` unless it already is one or a
-    :class:`FaultInjectingExecutor` (a composition built here before);
-    the default needs none, since its measurer already is the check.
+    MeasureExecutor``; anything else raises :class:`ValueError` (see
+    :func:`check_executor_spec`).  A handed-in or factory-built
+    executor is wrapped in a :class:`BuildStage` unless it already is
+    one or a :class:`FaultInjectingExecutor` (a composition built here
+    before); the default needs none, since its measurer already is the
+    check.
     ``faults`` wraps the result in a :class:`FaultInjectingExecutor`
     with ``retry`` (default policy when omitted), so the composition is
     ``FaultInjectingExecutor(BuildStage(executor))``.
     """
+    check_executor_spec(spec)
     if isinstance(spec, MeasureExecutor):
         executor = spec
-    elif callable(spec):
-        executor = spec(measurer)
     elif spec is None:
         executor = SerialExecutor(measurer)
     else:
-        raise ValueError(
-            f"unknown executor spec {spec!r}; expected None, an executor, "
-            "or a factory"
-        )
+        executor = spec(measurer)
     if spec is not None and not isinstance(
         executor, (BuildStage, FaultInjectingExecutor)
     ):

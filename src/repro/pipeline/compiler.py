@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import pickle
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -36,7 +37,7 @@ import numpy as np
 from repro.core import make_tuner
 from repro.core.events import TlogExactHit
 from repro.obs import RunObservation
-from repro.core.tuner import TuningResult
+from repro.core.tuner import Tuner, TuningResult
 from repro.fleet.devices import Fleet, FleetSpec
 from repro.fleet.scheduler import (
     FleetError,
@@ -393,23 +394,18 @@ class DeploymentCompiler:
         tuner_name: str,
         n_trial: int,
         early_stopping: Optional[int],
-        trial_seed: int,
-        kwargs: dict,
-        executor_spec: ExecutorSpec,
+        new_tuner: Callable[[], Tuner],
         done_path: Optional[Path],
         ckpt_path: Optional[Path],
         obs_path: Optional[Path],
         observer,
         resume: bool,
-        device: GpuDevice,
     ) -> TuningResult:
         """Tune (or restore) one task — the unit every fleet slot runs.
 
-        Pure in its arguments: every seeded decision derives from the
-        task spec and ``trial_seed``, so calls may run in any order, on
-        any worker thread, and still reproduce the same stream.
-        ``device`` is the cost model the task is measured on: its home
-        device, which is the compiler's own device without ``fleet=``.
+        ``new_tuner`` hands over the task's tuner; it is called only
+        when the task is tuned, not restored from its ``.done`` file,
+        and whatever it raises is the task's failure.
         """
         if resume and done_path is not None and done_path.exists():
             with done_path.open("rb") as fh:
@@ -426,14 +422,7 @@ class DeploymentCompiler:
                 self.graph.name, spec.task_id + 1, tuner_name, done_path,
             )
             return result
-        task = self.simulated_task(spec, device=device)
-        tuner_seed = derive_seed(
-            trial_seed, "tuner", tuner_name, spec.task_id
-        )
-        tuner = make_tuner(
-            tuner_name, task, seed=tuner_seed,
-            executor=executor_spec, **kwargs,
-        )
+        tuner = new_tuner()
         sinks = (observer,) if observer is not None else ()
         try:
             if resume and ckpt_path is not None and ckpt_path.exists():
@@ -593,10 +582,17 @@ class DeploymentCompiler:
         tuning-log support.
 
         A task whose tuner measures through an executor — ``executor``
-        given, or the fault/retry wrapper ``faults``/``retry`` build —
-        overlaps each batch's measurement with a speculative proposal
-        of the next (see :meth:`repro.core.Tuner.tune`); records and
-        summaries stay bit-identical.
+        given, or the fault wrapper ``faults`` builds — overlaps each
+        batch's measurement with a speculative proposal of the next
+        (see :meth:`repro.core.Tuner.tune`).  A compile that runs its
+        tasks one after another (no ``fleet``, one worker) looks one
+        task ahead: as task *k* hands its first batch to its executor,
+        task *k*'s worker thread builds task *k+1*'s tuner and proposes
+        its first batch (:meth:`repro.core.Tuner.propose_initial`),
+        which that task's run consumes first.  Tasks served from the
+        tuning log or continued from a ``.done`` or ``.ckpt`` file are
+        never prepared ahead.  Records and summaries stay bit-identical
+        either way.
         """
         kwargs = dict(tuner_kwargs or {})
         ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -628,30 +624,96 @@ class DeploymentCompiler:
                 consulted[key] = (served, plan, sig)
                 tlog_status[spec.task_id] = status
 
+        keys = list(by_key)
+
+        def new_tuner(seq: int) -> Tuner:
+            """Task ``seq``'s one tuner.
+
+            Every seeded decision derives from the task and
+            ``trial_seed``, so tasks may be tuned in any order, on any
+            thread, and still reproduce the same stream; the task is
+            measured on its home device, the compiler's own without
+            ``fleet``.
+            """
+            spec, home = by_key[keys[seq]], pool.home_of(seq)
+            plan = consulted.get(keys[seq], (None, None, None))[1]
+            return make_tuner(
+                tuner_name, self.simulated_task(spec, device=home.device),
+                seed=derive_seed(
+                    trial_seed, "tuner", tuner_name, spec.task_id
+                ),
+                executor=self._executor_spec(
+                    executor, faults=home.fault_model(faults), retry=retry
+                ),
+                **(kwargs if plan is None else dict(kwargs, warm_start=plan)),
+            )
+
+        def task_paths(seq: int):
+            return self._task_paths(
+                ckpt_dir, keys[seq],
+                subdir=None if fleet is None else pool.home_of(seq).dirname,
+            )
+
+        # tasks tuned one after another look one task ahead: the next
+        # task is prepared on this task's worker thread while this
+        # task's first batch is measured
+        lookahead = fleet is None and fleet_jobs in (None, 1)
+        ahead: Dict[int, Future] = {}
+
+        def prepare(seq: int) -> Tuner:
+            tuner = new_tuner(seq)
+            tuner.propose_initial()
+            return tuner
+
+        def look_ahead(seq: int) -> Optional[Callable[[Callable], None]]:
+            """Task ``seq``'s first-dispatch trigger: prepare the next
+            task, unless it is served from the log or continues from
+            its ``.done`` or ``.ckpt`` file."""
+            nxt = seq + 1
+            if (
+                not lookahead
+                or nxt == len(keys)
+                or consulted.get(keys[nxt], (None,))[0] is not None
+            ):
+                return None
+            done_path, ckpt_path, _ = task_paths(nxt)
+            if resume and any(
+                path is not None and path.exists()
+                for path in (done_path, ckpt_path)
+            ):
+                return None
+
+            def start(submit: Callable[..., Future]) -> None:
+                ahead[nxt] = submit(prepare, nxt)
+
+            return start
+
         lock = threading.Lock()
         finished: Dict[int, Tuple[TuningResult, str]] = {}
         collected = 0
 
         def run_task(ftask: FleetTask, _executing_device) -> TuningResult:
             nonlocal collected
-            served, plan, _ = consulted.get(ftask.key, (None, None, None))
+            served = consulted.get(ftask.key, (None,))[0]
             result, name = served, "tlog"
             if served is None:
-                home = pool.home_of(ftask.seq)
-                done_path, ckpt_path, obs_path = self._task_paths(
-                    ckpt_dir, ftask.key,
-                    subdir=None if fleet is None else home.dirname,
-                )
+                prepared = ahead.pop(ftask.seq, None)
+
+                # the trigger is set here, not in new_tuner, which
+                # prepare calls: closures calling each other in a loop
+                # would keep the compile alive until the cycle collector
+                def task_tuner() -> Tuner:
+                    tuner = (
+                        new_tuner(ftask.seq)
+                        if prepared is None else prepared.result()
+                    )
+                    tuner.on_first_dispatch = look_ahead(ftask.seq)
+                    return tuner
+
                 result = self._tune_one(
                     by_key[ftask.key], tuner_name, n_trial, early_stopping,
-                    trial_seed,
-                    kwargs if plan is None else dict(kwargs, warm_start=plan),
-                    self._executor_spec(
-                        executor, faults=home.fault_model(faults),
-                        retry=retry,
-                    ),
-                    done_path, ckpt_path, obs_path, observers[ftask.key],
-                    resume, home.device,
+                    task_tuner, *task_paths(ftask.seq),
+                    observers[ftask.key], resume,
                 )
                 name = tuner_name
             # hand tasks on in task order, each as soon as it and every
@@ -669,7 +731,7 @@ class DeploymentCompiler:
         scheduler = FleetScheduler(pool, run_task, jobs=fleet_jobs)
         try:
             run = scheduler.run(
-                [FleetTask(key=key, seq=i) for i, key in enumerate(by_key)]
+                [FleetTask(key=key, seq=i) for i, key in enumerate(keys)]
             )
         except FleetError as exc:
             if fleet is not None:

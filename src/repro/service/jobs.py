@@ -130,7 +130,10 @@ class JobSpec:
         from repro.core import TUNER_REGISTRY
         from repro.nn.zoo import MODEL_BUILDERS
 
-        if self.model not in MODEL_BUILDERS:
+        if (
+            not isinstance(self.model, str)
+            or self.model not in MODEL_BUILDERS
+        ):
             raise ValidationError(
                 f"unknown model {self.model!r}",
                 field="model",

@@ -6,12 +6,20 @@ Layout under the database root::
     <root>/segments/<key>.jsonl  append-only records of one signature
 
 The index maps each :class:`~repro.tlog.signature.TaskSignature` key to
-its signature dict, segment file, record count, best score, and the set
-of run keys that already contributed (so a resumed compile never
-double-appends).  Segment files are JSON lines appended in measurement
-order; like :class:`~repro.pipeline.records.RecordStore`, loading drops
-a torn *final* line with a warning (crash mid-append) and raises
-:class:`ValueError` naming the line for anything else malformed.
+its signature dict, segment file, record count, committed byte length,
+best score, and the set of run keys that already contributed (so a
+resumed compile never double-appends).  Segment files are JSON lines
+appended in measurement order.
+
+The index is the commit record: a contribution appends to its segment
+first and then rewrites the index, so a process killed in between
+leaves segment bytes no index counts.  Reads see only a segment's
+committed bytes, and the next contribution to the segment drops the
+uncommitted tail before it appends (an index written before byte
+lengths were kept commits each segment's first ``count`` lines).  Like
+:class:`~repro.pipeline.records.RecordStore`, reading drops a torn
+*final* line with a warning and raises :class:`ValueError` naming the
+line for anything else malformed.
 
 The index carries a schema version; :meth:`TuningLogDB.load` rejects a
 future version with a clear error instead of misreading it.
@@ -20,6 +28,7 @@ future version with a clear error instead of misreading it.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -94,6 +103,9 @@ class _Segment:
     signature: TaskSignature
     filename: str
     count: int = 0
+    #: committed length of the segment file in bytes; ``None`` until
+    #: first used when the index was written before lengths were kept
+    size: Optional[int] = 0
     best_gflops: float = 0.0
     #: run keys that already contributed (idempotent re-contribution)
     runs: Optional[set] = None
@@ -158,6 +170,7 @@ class TuningLogDB:
                     signature=TaskSignature.from_dict(entry["signature"]),
                     filename=str(entry["file"]),
                     count=int(entry.get("count", 0)),
+                    size=int(entry["bytes"]) if "bytes" in entry else None,
                     best_gflops=float(entry.get("best_gflops", 0.0)),
                     runs=set(entry.get("runs", [])),
                 )
@@ -168,25 +181,41 @@ class TuningLogDB:
                 ) from exc
             self._segments[key] = segment
 
+    def _committed_size(self, segment: _Segment) -> int:
+        """A segment's committed byte length.
+
+        An index written before byte lengths were kept committed each
+        segment's first ``count`` lines; their length is measured the
+        first time the segment is read or appended to, so loading such
+        an index still reads the index alone.
+        """
+        if segment.size is None:
+            path = self._segment_path(segment)
+            segment.size = 0
+            if path.exists():
+                with path.open("rb") as fh:
+                    segment.size = sum(
+                        len(line) for _, line in zip(range(segment.count), fh)
+                    )
+        return segment.size
+
     def flush(self) -> None:
         """Atomically rewrite the index from in-memory state."""
         self.root.mkdir(parents=True, exist_ok=True)
-        document = {
-            "version": TLOG_VERSION,
-            "segments": {
-                key: {
-                    "signature": seg.signature.to_dict(),
-                    "file": seg.filename,
-                    "count": seg.count,
-                    "best_gflops": seg.best_gflops,
-                    "runs": sorted(seg.runs or ()),
-                }
-                for key, seg in sorted(self._segments.items())
-            },
-        }
+        segments = {}
+        for key, seg in sorted(self._segments.items()):
+            segments[key] = {
+                "signature": seg.signature.to_dict(),
+                "file": seg.filename,
+                "count": seg.count,
+                "best_gflops": seg.best_gflops,
+                "runs": sorted(seg.runs or ()),
+            }
+            if seg.size is not None:  # a legacy entry not yet used has none
+                segments[key]["bytes"] = seg.size
+        document = {"version": TLOG_VERSION, "segments": segments}
         atomic_write_text(
-            self._index_path,
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
+            self._index_path, json.dumps(document, sort_keys=True) + "\n"
         )
 
     # ------------------------------------------------------------------
@@ -203,7 +232,10 @@ class TuningLogDB:
         ``run_key`` (when given) makes the contribution idempotent: a
         resumed or re-run compile that already contributed under the
         same run key is skipped, so crash/resume cycles never duplicate
-        segment lines.  Returns the number of records appended.
+        segment lines.  The contribution counts once the index is
+        rewritten; segment bytes past the committed length (an append
+        whose index rewrite never happened) are dropped first.  Returns
+        the number of records appended.
         """
         if not records:
             return 0
@@ -214,17 +246,21 @@ class TuningLogDB:
                 signature=signature, filename=f"{key}.jsonl"
             )
             self._segments[key] = segment
-        if run_key is not None:
-            if run_key in (segment.runs or ()):
-                return 0
-            segment.runs.add(run_key)
+        if run_key is not None and run_key in segment.runs:
+            return 0
         self._segment_dir.mkdir(parents=True, exist_ok=True)
-        with self._segment_path(segment).open(
-            "a", encoding="utf-8"
-        ) as fh:
-            for record in records:
-                fh.write(record.to_json())
-                fh.write("\n")
+        path = self._segment_path(segment)
+        committed = self._committed_size(segment)
+        if path.exists() and path.stat().st_size > committed:
+            os.truncate(path, committed)
+        with path.open("ab") as fh:
+            fh.write(
+                "".join(record.to_json() + "\n" for record in records)
+                .encode("utf-8")
+            )
+            segment.size = fh.tell()
+        if run_key is not None:
+            segment.runs.add(run_key)
         segment.count += len(records)
         best = max(
             (r.gflops for r in records if r.ok), default=0.0
@@ -316,15 +352,18 @@ class TuningLogDB:
         return out
 
     def _read_segment(self, segment: _Segment) -> List[TlogRecord]:
+        """The committed records of one segment."""
         path = self._segment_path(segment)
         if not path.exists():
             logger.warning("tlog segment missing: %s", path)
             return []
-        with path.open("r", encoding="utf-8") as fh:
-            lines = [
-                (number, line.strip())
-                for number, line in enumerate(fh, start=1)
-            ]
+        size = self._committed_size(segment)
+        with path.open("rb") as fh:
+            text = fh.read(size).decode("utf-8")
+        lines = [
+            (number, line.strip())
+            for number, line in enumerate(text.split("\n"), start=1)
+        ]
         lines = [(number, line) for number, line in lines if line]
         records: List[TlogRecord] = []
         for position, (number, line) in enumerate(lines):

@@ -260,11 +260,15 @@ class TestStructuredErrors:
             ("arm", 5), ("arm", True), ("arm", None), ("arm", ["random"]),
             ("devices", 5), ("devices", True), ("devices", {"a": 1}),
             ("devices", ["gtx1080ti"]),
+            ("model", []), ("model", {}), ("model", ["alexnet"]),
+            ("model", {"a": 1}),
         ],
     )
     def test_non_string_name_is_a_400(self, client, field, value):
-        # a JSON number, boolean, null, object or list where an arm name
-        # or a fleet spec belongs is the client's error, never a 500
+        # a JSON number, boolean, null, object or list where a model or
+        # arm name or a fleet spec belongs is the client's error, never a
+        # 500 (a list or object model is unhashable: the type check must
+        # come before the registry lookup)
         with pytest.raises(ServiceClientError) as excinfo:
             client.submit(**{**SPEC, field: value})
         assert excinfo.value.status == 400

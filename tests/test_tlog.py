@@ -1,6 +1,7 @@
 """Tests for repro.tlog: signatures, the database, and warm plans."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from repro.tlog import (
 )
 from repro.tlog.db import TlogVersionError
 from repro.tlog.warm import project_records
+
+
+class _Killed(Exception):
+    """Stands in for the process dying at the patched point."""
 
 
 def conv(channels=64, size=28):
@@ -155,6 +160,90 @@ class TestDB:
         with seg.open("a") as fh:
             fh.write('{"config_index": 3, "gf')  # torn mid-append
         assert TuningLogDB.load(tmp_path / "db").lookup_exact(sig) == recs
+
+    def test_crash_between_append_and_index_rewrite(
+        self, tmp_path, monkeypatch
+    ):
+        # the index is the commit record: an append whose index rewrite
+        # never happened is invisible, and contributing again under the
+        # same run key stores each record once
+        committed = records_for(build_space(conv()), n=4)
+        sig = sig_of(conv())
+        db = TuningLogDB(tmp_path / "db")
+        db.record_task(sig, committed, run_key="earlier")
+        recs = records_for(build_space(conv()), n=10, base=200.0)
+
+        def killed(self):
+            raise _Killed
+
+        monkeypatch.setattr(TuningLogDB, "flush", killed)
+        with pytest.raises(_Killed):
+            db.record_task(sig, recs, run_key="run")
+        monkeypatch.undo()
+        reopened = TuningLogDB.load(tmp_path / "db")
+        assert reopened.lookup_exact(sig) == committed
+        assert reopened.record_task(sig, recs, run_key="run") == len(recs)
+        assert reopened.lookup_exact(sig) == committed + recs
+        again = TuningLogDB.load(tmp_path / "db")
+        assert again.lookup_exact(sig) == committed + recs
+        assert again.top_k_similar(sig, k=1)[0][1] == committed + recs
+        assert again.record_task(sig, recs, run_key="run") == 0
+
+    def test_crash_before_a_new_segment_is_indexed(
+        self, tmp_path, monkeypatch
+    ):
+        sig = sig_of(conv())
+        recs = records_for(build_space(conv()), n=10)
+        db = TuningLogDB(tmp_path / "db")
+        monkeypatch.setattr(TuningLogDB, "flush", lambda self: None)
+        db.record_task(sig, recs, run_key="run")
+        monkeypatch.undo()
+        reopened = TuningLogDB(tmp_path / "db")
+        assert reopened.lookup_exact(sig) is None
+        assert reopened.record_task(sig, recs, run_key="run") == len(recs)
+        assert TuningLogDB.load(tmp_path / "db").lookup_exact(sig) == recs
+
+    def test_index_without_byte_lengths_still_loads(
+        self, tmp_path, monkeypatch
+    ):
+        # an index written before byte lengths were kept (indented, as
+        # it used to be) commits each segment's first ``count`` lines,
+        # and loading it reads no segment
+        sig = sig_of(conv())
+        recs = records_for(build_space(conv()), n=6)
+        db = TuningLogDB(tmp_path / "db")
+        db.record_task(sig, recs[:4], run_key="old")
+        index = tmp_path / "db" / "index.json"
+        doc = json.loads(index.read_text())
+        for entry in doc["segments"].values():
+            del entry["bytes"]
+        index.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        seg = next((tmp_path / "db" / "segments").glob("*.jsonl"))
+        with seg.open("a") as fh:
+            fh.write(recs[5].to_json() + "\n")  # appended, never indexed
+        opened = []
+        real_open = Path.open
+
+        def tracking_open(path, *args, **kwargs):
+            opened.append(path.name)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", tracking_open)
+        old = TuningLogDB.load(tmp_path / "db")
+        assert seg.name not in opened
+        assert old.lookup_exact(sig) == recs[:4]
+        assert opened.count(seg.name) == 2  # measured once, then read
+        monkeypatch.undo()
+        assert old.record_task(sig, recs[4:], run_key="new") == 2
+        assert TuningLogDB.load(tmp_path / "db").lookup_exact(sig) == recs
+
+    def test_index_is_written_compactly(self, tmp_path):
+        db = TuningLogDB(tmp_path / "db")
+        db.record_task(sig_of(conv()), records_for(build_space(conv())))
+        text = (tmp_path / "db" / "index.json").read_text()
+        assert text.count("\n") == 1
+        doc = json.loads(text)
+        assert json.dumps(doc, sort_keys=True) + "\n" == text
 
     def test_malformed_interior_line_raises(self, tmp_path):
         sig = sig_of(conv())
