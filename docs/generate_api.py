@@ -21,7 +21,8 @@ MODULES = [
     "repro.learning.tree", "repro.learning.gbt", "repro.learning.mlp",
     "repro.learning.rank", "repro.learning.metrics", "repro.learning.sa",
     "repro.learning.transfer",
-    "repro.core.ted", "repro.core.bted", "repro.core.bootstrap",
+    "repro.core.ted", "repro.core.bted", "repro.core.bted_helper",
+    "repro.core.bootstrap",
     "repro.core.bao", "repro.core.droplet", "repro.core.adaptive",
     "repro.core.tuner", "repro.core.tuners",
     "repro.core.callbacks", "repro.core.events",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.bted import bted_select
+from repro.core.bted import initial_design
 from repro.core.tuners.autotvm import AutoTVMTuner
 from repro.hardware.executor import ExecutorSpec
 from repro.hardware.measure import SimulatedTask
@@ -63,14 +63,7 @@ class BTEDTuner(AutoTVMTuner):
         self.num_batches = num_batches
 
     def _generate_initial(self) -> List[int]:
-        return bted_select(
-            self.task.space,
-            m=self.init_size,
-            mu=self.mu,
-            batch_candidates=self.batch_candidates,
-            num_batches=self.num_batches,
-            seed=self.rng_pool.seed_for("bted-init"),
-        )
+        return initial_design(self)
 
 
 class BTEDAdaptiveTuner(BTEDTuner):

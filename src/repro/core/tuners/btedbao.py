@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.core.adaptive import prune_plan, validate_adaptive
 from repro.core.bao import BaoOptimizer, BaoSettings
 from repro.core.bootstrap import ModelFactory
-from repro.core.bted import bted_select
+from repro.core.bted import initial_design
 from repro.core.droplet import (
     CoordinateDescent,
     DropletSettings,
@@ -119,14 +119,7 @@ class BTEDBAOTuner(Tuner):
         )
 
     def _generate_initial(self) -> List[int]:
-        return bted_select(
-            self.task.space,
-            m=self.init_size,
-            mu=self.mu,
-            batch_candidates=self.batch_candidates,
-            num_batches=self.num_batches,
-            seed=self.rng_pool.seed_for("bted-init"),
-        )
+        return initial_design(self)
 
     def _should_finish(self) -> bool:
         if self.finish is None or self.finishing:

@@ -12,7 +12,10 @@ import pytest
 
 from repro.fleet import Fleet, FleetError
 from repro.hardware.device import GTX_1080_TI
+from repro.hardware.executor import SerialExecutor
 from repro.hardware.faults import RetryPolicy
+from repro.hardware.measure import Measurer
+from repro.nn import zoo
 from repro.nn.graph import GraphBuilder
 from repro.obs import RunObservation
 from repro.pipeline.compiler import CompiledModel, DeploymentCompiler, KernelTiming
@@ -177,6 +180,35 @@ class TestCompileContracts:
                 tuner_kwargs=dict(BTED_KWARGS, mu=0.0),
             )
         assert not isinstance(excinfo.value, FleetError)
+
+    def test_a_compile_of_several_tasks_refuses_an_executor_instance(self):
+        # one instance would measure task 1 through task 0's measurer
+        # and space (and task 0 would close it for the tasks after it)
+        compiler = DeploymentCompiler(zoo.build_model("resnet-18"))
+        compiler.tasks = compiler.tasks[:2]
+        board = SerialExecutor(
+            Measurer(compiler.simulated_task(compiler.tasks[0]))
+        )
+        finished = []
+        with pytest.raises(ValueError, match="executor"):
+            compiler.tune(
+                "bted", n_trial=16, early_stopping=None,
+                tuner_kwargs=dict(BTED_KWARGS), executor=board,
+                progress=lambda spec, result: finished.append(spec),
+            )
+        assert finished == [] and board.num_measurements == 0
+        # a factory builds one executor per task; one task may take one
+        compiled = compiler.tune(
+            "bted", n_trial=16, early_stopping=None,
+            tuner_kwargs=dict(BTED_KWARGS), executor=SerialExecutor,
+        )
+        assert len(compiled.tuning_results) == 2
+        compiler.tasks = compiler.tasks[:1]
+        compiler.tune(
+            "bted", n_trial=16, early_stopping=None,
+            tuner_kwargs=dict(BTED_KWARGS), executor=board,
+        )
+        assert board.num_measurements == 16
 
     def test_progress_fires_before_the_next_task_measures(self, three):
         observation = RunObservation(enable_metrics=False, enable_trace=False)
