@@ -92,7 +92,8 @@ _SERIAL_EQUIVALENT_CLASS = "gtx1080ti"
 # Child: tune with checkpointing, stalling after every batch so the
 # parent has time to deliver SIGKILL mid-run.  A TuningObserver rides
 # along as an event sink so its state is captured in every checkpoint
-# and the resumed run can prove observability is crash-safe too.
+# and the resumed run can prove observability is crash-safe too; the
+# stall is a sink after it, since sink state is restored by position.
 _CHILD = """
 import sys, time
 sys.path.insert(0, {src!r})
@@ -101,12 +102,16 @@ from repro.core.checkpoint import CheckpointPolicy
 from repro.hardware.executor import SerialExecutor
 from repro.obs import TuningObserver
 {task}
+
+def stall(tuner, event):
+    if event.kind == "batch_measured":
+        time.sleep(0.2)
+
 tuner = make_tuner({arm!r}, task, seed=11, executor={executor}, **{kwargs!r})
 tuner.tune(
     n_trial={n_trial}, early_stopping=None,
     checkpoint=CheckpointPolicy(path={ckpt!r}, every=1),
-    callbacks=[lambda t, results: time.sleep(0.2)],
-    on_event=[TuningObserver()],
+    on_event=[TuningObserver(), stall],
 )
 print("CHILD-FINISHED")
 """
@@ -157,7 +162,24 @@ print(json.dumps({{
 """
 
 
-# Compile child: a two-task compile with per-task checkpointing, either
+# The compile smokes' model: three convolutions, so three tuning tasks.
+# A compile without a fleet prepares tasks 1 and 2 ahead and starts its
+# design helper at the first of those preparations, because a second
+# one follows; a two-task compile would start none.
+_SMOKE_MODEL = """
+b = GraphBuilder("fleet-smoke")
+b.input((1, 3, 16, 16))
+b.conv2d("c1", 8, padding=(1, 1))
+b.relu("r1")
+b.conv2d("c2", 12, padding=(1, 1))
+b.relu("r2")
+b.conv2d("c3", 16, padding=(1, 1))
+b.relu("r3")
+b.flatten("f")
+b.dense("fc", 10)
+"""
+
+# Compile child: a three-task compile with per-task checkpointing, either
 # sharded over a device pool (per-device checkpoint subdirectories) or
 # without a fleet (checkpoints directly in the directory).  Fault
 # injection with a real retry backoff paces the workers so the parent
@@ -170,14 +192,7 @@ from repro.nn.graph import GraphBuilder
 from repro.obs import RunObservation
 from repro.pipeline.compiler import DeploymentCompiler
 
-b = GraphBuilder("fleet-smoke")
-b.input((1, 3, 16, 16))
-b.conv2d("c1", 8, padding=(1, 1))
-b.relu("r1")
-b.conv2d("c2", 12, padding=(1, 1))
-b.relu("r2")
-b.flatten("f")
-b.dense("fc", 10)
+{model}
 
 DeploymentCompiler(b.graph, env_seed=123).tune(
     {arm!r}, n_trial={n_trial}, early_stopping=None,
@@ -206,14 +221,7 @@ from repro.obs import RunObservation
 from repro.pipeline.compiler import DeploymentCompiler
 from repro.pipeline.records import RecordStore
 
-b = GraphBuilder("fleet-smoke")
-b.input((1, 3, 16, 16))
-b.conv2d("c1", 8, padding=(1, 1))
-b.relu("r1")
-b.conv2d("c2", 12, padding=(1, 1))
-b.relu("r2")
-b.flatten("f")
-b.dense("fc", 10)
+{model}
 
 store = RecordStore()
 observation = RunObservation(enable_metrics=False, enable_trace=False)
@@ -440,6 +448,7 @@ def _run_fleet(arm: str, kwargs: dict, n_trial: int, ckpt_dir: str,
     code = _FLEET_RUNNER.format(
         src=str(SRC), arm=arm, kwargs=kwargs, n_trial=n_trial,
         ckpt_dir=ckpt_dir, devices=devices, fleet=fleet, resume=resume,
+        model=_SMOKE_MODEL,
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
@@ -540,7 +549,7 @@ def _fleet_main(args) -> int:
                   "(fault injection with real retry backoff)")
         child = subprocess.Popen(
             [sys.executable, "-c", _FLEET_CHILD.format(
-                src=str(SRC), arm=args.arm, kwargs=kwargs,
+                src=str(SRC), arm=args.arm, kwargs=kwargs, model=_SMOKE_MODEL,
                 n_trial=args.n_trial, ckpt_dir=ckpt_dir,
                 fleet=args.devices if fleet else None,
                 fleet_jobs=2 if fleet else None,
@@ -667,7 +676,7 @@ def main() -> int:
                              "compile without a fleet for a uniform "
                              "gtx1080ti pool, a fleet run otherwise)")
     parser.add_argument("--compile", action="store_true",
-                        help="kill a two-task compile without a fleet "
+                        help="kill a three-task compile without a fleet "
                              "(checkpoints directly in the directory) "
                              "mid-batch, resume it, and compare against "
                              "an uninterrupted compile under the same "
@@ -717,8 +726,10 @@ def main() -> int:
         parser.error("--compile runs without a fleet; drop --fleet")
     if args.kill_task and not args.compile:
         parser.error("--kill-task is a --compile option")
-    if not 0 <= args.kill_task <= 1:
-        parser.error("--kill-task must be 0 or 1: the compile has two tasks")
+    if not 0 <= args.kill_task <= 2:
+        parser.error(
+            "--kill-task must be 0, 1 or 2: the compile has three tasks"
+        )
     if (args.fleet or args.compile) and args.pipeline:
         parser.error("--pipeline is a single-run mode; drop --fleet/--compile")
     if (args.fleet or args.compile) and args.task != "dense":

@@ -7,7 +7,7 @@ Exposes the main workflows without writing Python::
     python -m repro tune --model squeezenet-v1.1 --arm bted+bao \
         --budget 256 --records out.jsonl           # tune + deploy
     python -m repro experiment fig4 --scale 0.1    # regenerate a figure
-    python -m repro fleet --model squeezenet-v1.1 \
+    python -m repro tune --model squeezenet-v1.1 \
         --devices gtx1080ti,gtx1080ti,titanv       # multi-device tuning
     python -m repro tune --model squeezenet-v1.1 \
         --tlog-dir tlog --warm-start               # cross-run transfer
@@ -27,6 +27,12 @@ from typing import Callable, List, Optional
 
 from repro.core import INCREMENTAL_REFIT_ARMS, TUNER_REGISTRY
 from repro.experiments.settings import ExperimentSettings
+from repro.fleet import (
+    FleetError,
+    parse_fleet,
+    write_device_summaries,
+    write_fleet_report,
+)
 from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.nn.zoo import MODEL_BUILDERS, PAPER_MODELS, build_model
 from repro.pipeline.compiler import DeploymentCompiler
@@ -67,6 +73,18 @@ def _cmd_tasks(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     enable_console_logging()
+    if args.resume and not args.checkpoint_dir:
+        print("--resume requires --checkpoint-dir", file=sys.stderr)
+        return 2
+    for flag in ("jobs", "report", "summary_dir"):
+        if args.devices is None and getattr(args, flag) is not None:
+            print(f"--{flag.replace('_', '-')} requires --devices",
+                  file=sys.stderr)
+            return 2
+    tuner_kwargs = _refit_kwargs(args)
+    if tuner_kwargs is None:
+        return 2
+    fleet = None if args.devices is None else parse_fleet(args.devices)
     graph = build_model(args.model)
     compiler = DeploymentCompiler(
         graph, env_seed=args.env_seed, include_winograd=args.winograd
@@ -88,38 +106,48 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         if args.max_retries is not None
         else None
     )
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    tuner_kwargs = _refit_kwargs(args)
-    if tuner_kwargs is None:
-        return 2
     observation = None
-    if args.metrics_out or args.trace_out or args.summary:
+    if args.metrics_out or args.trace_out or args.summary or args.summary_dir:
         from repro.obs import RunObservation
 
         observation = RunObservation(
             enable_metrics=bool(args.metrics_out),
             enable_trace=bool(args.trace_out),
         )
-    compiled = compiler.tune(
-        args.arm,
-        n_trial=args.budget,
-        early_stopping=args.early_stop,
-        trial_seed=args.seed,
-        tuner_kwargs=tuner_kwargs,
-        record_store=store,
-        progress=progress,
-        faults=faults,
-        retry=retry,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        observation=observation,
-        tlog=args.tlog_dir,
-        warm_start=args.warm_start,
-        warm_k=args.warm_k,
-        warm_device=args.warm_device,
-    )
+    if fleet is not None:
+        print(f"{args.model} via {args.arm} on a fleet of {len(fleet)}:")
+        for line in fleet.describe():
+            print(f"  {line}")
+    try:
+        compiled = compiler.tune(
+            args.arm,
+            n_trial=args.budget,
+            early_stopping=args.early_stop,
+            trial_seed=args.seed,
+            tuner_kwargs=tuner_kwargs,
+            record_store=store,
+            progress=progress,
+            faults=faults,
+            retry=retry,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            observation=observation,
+            fleet=fleet,
+            fleet_jobs=args.jobs,
+            tlog=args.tlog_dir,
+            warm_start=args.warm_start,
+            warm_k=args.warm_k,
+            warm_device=args.warm_device,
+        )
+    except FleetError as exc:  # only a compile with a fleet raises it
+        print(f"fleet aborted: {exc}", file=sys.stderr)
+        if args.checkpoint_dir:
+            print(
+                "rerun with --resume and the same --devices / "
+                "--checkpoint-dir to finish the survivors",
+                file=sys.stderr,
+            )
+        return 1
     # the records of a finished tune are saved before anything that
     # could still fail (exports, the latency measurement)
     if store is not None:
@@ -134,9 +162,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         if args.summary:
             observation.write_summary(args.summary)
             print(f"  summary  : {args.summary}")
-    sample = compiled.measure_latency(num_runs=args.runs, seed=args.seed)
     print()
-    print(f"{args.model} via {args.arm}:")
+    if fleet is None:
+        print(f"{args.model} via {args.arm}:")
+    else:
+        _print_fleet_run(args, compiled.fleet, observation)
+    sample = compiled.measure_latency(num_runs=args.runs, seed=args.seed)
     print(f"  latency  : {sample.mean_ms:.4f} ms (mean of {args.runs} runs)")
     print(f"  variance : {sample.variance:.6f}")
     if args.tlog_dir:
@@ -150,96 +181,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
-    enable_console_logging()
-    graph = build_model(args.model)
-    compiler = DeploymentCompiler(graph, env_seed=args.env_seed)
-    compiled = compiler.compile_from_tlog(args.tlog_dir)
-    counts = compiled.tlog_counts()
-    sample = compiled.measure_latency(num_runs=args.runs, seed=args.seed)
-    print(f"{args.model} from tuning log {args.tlog_dir}:")
-    print(
-        f"  tasks    : {counts['hit']} from log, "
-        f"{counts['cold']} default schedule"
-    )
-    print(f"  latency  : {sample.mean_ms:.4f} ms (mean of {args.runs} runs)")
-    print(f"  variance : {sample.variance:.6f}")
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    enable_console_logging()
-    from repro.fleet import (
-        FleetError,
-        parse_fleet,
-        write_device_summaries,
-        write_fleet_report,
-    )
-
-    fleet = parse_fleet(args.devices)
-    if args.resume and not args.checkpoint_dir:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    tuner_kwargs = _refit_kwargs(args)
-    if tuner_kwargs is None:
-        return 2
-    graph = build_model(args.model)
-    compiler = DeploymentCompiler(graph, env_seed=args.env_seed)
-    store = RecordStore() if args.records else None
-    faults = None
-    if args.fault_rate > 0:
-        faults = FaultModel(rate=args.fault_rate, seed=args.fault_seed)
-    retry = (
-        RetryPolicy(max_retries=args.max_retries)
-        if args.max_retries is not None
-        else None
-    )
-    observation = None
-    if args.summary_dir:
-        from repro.obs import RunObservation
-
-        observation = RunObservation(
-            enable_metrics=False, enable_trace=False
-        )
-
-    print(f"{args.model} via {args.arm} on a fleet of {len(fleet)}:")
-    for line in fleet.describe():
-        print(f"  {line}")
-    try:
-        compiled = compiler.tune(
-            args.arm,
-            n_trial=args.budget,
-            early_stopping=args.early_stop,
-            trial_seed=args.seed,
-            tuner_kwargs=tuner_kwargs,
-            record_store=store,
-            faults=faults,
-            retry=retry,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            observation=observation,
-            fleet=fleet,
-            fleet_jobs=args.jobs,
-            tlog=args.tlog_dir,
-            warm_start=args.warm_start,
-            warm_k=args.warm_k,
-            warm_device=args.warm_device,
-        )
-    except FleetError as exc:
-        print(f"fleet aborted: {exc}", file=sys.stderr)
-        if args.checkpoint_dir:
-            print(
-                "rerun with --resume and the same --devices / "
-                "--checkpoint-dir to finish the survivors",
-                file=sys.stderr,
-            )
-        return 1
-    # saved before the report, summary and latency steps can fail
-    if store is not None:
-        store.save(args.records)
-
-    result = compiled.fleet
-    print()
+def _print_fleet_run(args, result, observation) -> None:
+    """The per-device table of a compile on ``--devices``, and its
+    ``--report`` and ``--summary-dir`` files."""
     print(f"{'device':<12} {'homed':>6} {'executed':>9} "
           f"{'stolen in/out':>14} {'measurements':>13}")
     for report in result.reports:
@@ -258,7 +202,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         }
         write_fleet_report(args.report, result, measurements)
         print(f"  report   : {args.report}")
-    if observation is not None and args.summary_dir:
+    if args.summary_dir:
         summaries = {}
         for key in observation.keys():
             summary = observation.observer(key).summary()
@@ -266,17 +210,22 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             summaries[key] = summary
         write_device_summaries(args.summary_dir, result, summaries)
         print(f"  summaries: {args.summary_dir}/summary.json")
+
+
+def _cmd_compile(args: argparse.Namespace) -> int:
+    enable_console_logging()
+    graph = build_model(args.model)
+    compiler = DeploymentCompiler(graph, env_seed=args.env_seed)
+    compiled = compiler.compile_from_tlog(args.tlog_dir)
+    counts = compiled.tlog_counts()
     sample = compiled.measure_latency(num_runs=args.runs, seed=args.seed)
+    print(f"{args.model} from tuning log {args.tlog_dir}:")
+    print(
+        f"  tasks    : {counts['hit']} from log, "
+        f"{counts['cold']} default schedule"
+    )
     print(f"  latency  : {sample.mean_ms:.4f} ms (mean of {args.runs} runs)")
     print(f"  variance : {sample.variance:.6f}")
-    if args.tlog_dir:
-        counts = compiled.tlog_counts()
-        print(
-            f"  tlog     : {counts['hit']} hits / {counts['warm']} warm / "
-            f"{counts['cold']} cold -> {args.tlog_dir}"
-        )
-    if store is not None:
-        print(f"  records  : {len(store)} -> {args.records}")
     return 0
 
 
@@ -530,17 +479,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_refit_arg(parser: argparse.ArgumentParser) -> None:
-    """The ``--refit`` flag shared by tuning subcommands."""
-    parser.add_argument("--refit", choices=("full", "incremental"),
-                        default="full",
-                        help="surrogate-model refit strategy: 'full' "
-                             "rebuilds from scratch each round "
-                             "(historical default), 'incremental' keeps "
-                             "grown trees and appends boosting rounds "
-                             "(model-based arms only)")
-
-
 def _refit_kwargs(args: argparse.Namespace) -> Optional[dict]:
     """Validate --refit against the arm; None means 'print usage error'."""
     if args.refit == "full":
@@ -553,27 +491,6 @@ def _refit_kwargs(args: argparse.Namespace) -> Optional[dict]:
         )
         return None
     return {"refit": args.refit}
-
-
-def _add_tlog_args(parser: argparse.ArgumentParser) -> None:
-    """The cross-run tuning-log flags shared by tuning subcommands."""
-    parser.add_argument("--tlog-dir", default=None,
-                        help="consult and grow a cross-run tuning-log "
-                             "database in this directory: exact-signature "
-                             "tasks are served with zero measurements and "
-                             "finished tasks are recorded for later runs")
-    parser.add_argument("--warm-start", action="store_true",
-                        help="seed each task's search from the nearest "
-                             "transferable tasks in --tlog-dir "
-                             "(no effect without --tlog-dir)")
-    parser.add_argument("--warm-k", type=int, default=16,
-                        help="prior configurations injected per "
-                             "warm-started task (default: 16)")
-    parser.add_argument("--warm-device", default="any",
-                        choices=("any", "same", "cross"),
-                        help="device classes eligible as warm-start "
-                             "sources: any (default), same (the task's "
-                             "own class), or cross (other classes only)")
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:
@@ -620,12 +537,25 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=sorted(MODEL_BUILDERS))
     p_tasks.set_defaults(func=_cmd_tasks)
 
-    p_tune = sub.add_parser("tune", help="tune and deploy a zoo model")
+    p_tune = sub.add_parser(
+        "tune",
+        help="tune and deploy a zoo model, on the compiler's own device "
+             "or a simulated multi-device fleet (--devices)",
+    )
     p_tune.add_argument("--model", required=True,
                         choices=sorted(MODEL_BUILDERS))
     p_tune.add_argument(
         "--arm", default="bted+bao", choices=sorted(TUNER_REGISTRY)
     )
+    p_tune.add_argument("--devices", default=None,
+                        help="comma-separated device presets, each "
+                             "optionally suffixed :fault_rate "
+                             "(e.g. gtx1080ti,gtx1080ti:0.1,titanv); "
+                             "tunes on this fleet instead of the "
+                             "compiler's own device")
+    p_tune.add_argument("--jobs", type=_at_least(1), default=None,
+                        help="worker threads draining the fleet "
+                             "(default: one per device)")
     p_tune.add_argument("--budget", type=_at_least(1), default=256,
                         help="measurements per task")
     p_tune.add_argument("--early-stop", type=int, default=None)
@@ -639,14 +569,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also tune Winograd templates for eligible "
                              "convs and deploy the faster one per kernel")
     p_tune.add_argument("--checkpoint-dir", default=None,
-                        help="write per-task tuning checkpoints here")
+                        help="write per-task tuning checkpoints here "
+                             "(task-MMM.ckpt, or device-NN/task-MMM.ckpt "
+                             "with --devices)")
     p_tune.add_argument("--resume", action="store_true",
                         help="continue an interrupted run from "
-                             "--checkpoint-dir (bit-identical to an "
-                             "uninterrupted run)")
+                             "--checkpoint-dir with the same --devices "
+                             "(bit-identical to an uninterrupted run)")
     p_tune.add_argument("--fault-rate", type=float, default=0.0,
                         help="inject deterministic transient measurement "
-                             "faults at this rate (0 disables)")
+                             "faults at this rate (0 disables); a "
+                             "--devices entry's :rate suffix overrides it")
     p_tune.add_argument("--fault-seed", type=int, default=0,
                         help="seed of the fault-injection schedule")
     p_tune.add_argument("--max-retries", type=int, default=None,
@@ -661,8 +594,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--summary", default=None,
                         help="write the per-run RunSummary JSON (best curve, "
                              "time breakdown, fault counts) here")
-    _add_tlog_args(p_tune)
-    _add_refit_arg(p_tune)
+    p_tune.add_argument("--report", default=None,
+                        help="write the fleet scheduling report "
+                             "(assignments, steals, ordinal spans) to "
+                             "this JSON file")
+    p_tune.add_argument("--summary-dir", default=None,
+                        help="write one RunSummary file per device plus "
+                             "the fleet-aggregated summary.json here")
+    p_tune.add_argument("--tlog-dir", default=None,
+                        help="consult and grow a cross-run tuning-log "
+                             "database in this directory: exact-signature "
+                             "tasks are served with zero measurements and "
+                             "finished tasks are recorded for later runs")
+    p_tune.add_argument("--warm-start", action="store_true",
+                        help="seed each task's search from the nearest "
+                             "transferable tasks in --tlog-dir "
+                             "(no effect without --tlog-dir)")
+    p_tune.add_argument("--warm-k", type=int, default=16,
+                        help="prior configurations injected per "
+                             "warm-started task (default: 16)")
+    p_tune.add_argument("--warm-device", default="any",
+                        choices=("any", "same", "cross"),
+                        help="device classes eligible as warm-start "
+                             "sources: any (default), same (the task's "
+                             "own class), or cross (other classes only)")
+    p_tune.add_argument("--refit", choices=("full", "incremental"),
+                        default="full",
+                        help="surrogate-model refit strategy: 'full' "
+                             "rebuilds from scratch each round "
+                             "(historical default), 'incremental' keeps "
+                             "grown trees and appends boosting rounds "
+                             "(model-based arms only)")
     p_tune.set_defaults(func=_cmd_tune)
 
     p_compile = sub.add_parser(
@@ -679,56 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--seed", type=int, default=0)
     p_compile.add_argument("--env-seed", type=int, default=2021)
     p_compile.set_defaults(func=_cmd_compile)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="tune a model on a simulated multi-device fleet "
-             "(bit-identical to a serial run)",
-    )
-    p_fleet.add_argument("--model", required=True,
-                         choices=sorted(MODEL_BUILDERS))
-    p_fleet.add_argument(
-        "--arm", default="bted+bao", choices=sorted(TUNER_REGISTRY)
-    )
-    p_fleet.add_argument("--devices", default="gtx1080ti,gtx1080ti",
-                         help="comma-separated device presets, each "
-                              "optionally suffixed :fault_rate "
-                              "(e.g. gtx1080ti,gtx1080ti:0.1,titanv)")
-    p_fleet.add_argument("--jobs", type=_at_least(1), default=None,
-                         help="worker threads draining the fleet "
-                              "(default: one per device)")
-    p_fleet.add_argument("--budget", type=_at_least(1), default=256,
-                         help="measurements per task")
-    p_fleet.add_argument("--early-stop", type=int, default=None)
-    p_fleet.add_argument("--runs", type=_at_least(2), default=600,
-                         help="timed end-to-end runs")
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.add_argument("--env-seed", type=int, default=2021)
-    p_fleet.add_argument("--records", default=None,
-                         help="save tuning records to this JSON-lines file")
-    p_fleet.add_argument("--checkpoint-dir", default=None,
-                         help="write per-device task checkpoints here "
-                              "(device-NN/task-MMM.ckpt)")
-    p_fleet.add_argument("--resume", action="store_true",
-                         help="continue an interrupted fleet run from "
-                              "--checkpoint-dir with the same --devices "
-                              "(bit-identical to an uninterrupted run)")
-    p_fleet.add_argument("--fault-rate", type=float, default=0.0,
-                         help="fleet-level deterministic fault rate; "
-                              "per-device :rate suffixes override it")
-    p_fleet.add_argument("--fault-seed", type=int, default=0)
-    p_fleet.add_argument("--max-retries", type=int, default=None,
-                         help="retries per faulted measurement")
-    p_fleet.add_argument("--report", default=None,
-                         help="write the fleet scheduling report "
-                              "(assignments, steals, ordinal spans) to "
-                              "this JSON file")
-    p_fleet.add_argument("--summary-dir", default=None,
-                         help="write one RunSummary file per device plus "
-                              "the fleet-aggregated summary.json here")
-    _add_tlog_args(p_fleet)
-    _add_refit_arg(p_fleet)
-    p_fleet.set_defaults(func=_cmd_fleet)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper result")
     p_exp.add_argument(
@@ -790,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "port and prints it)")
     p_serve.add_argument("--devices", default="gtx1080ti,gtx1080ti",
                          help="the service fleet (comma-separated device "
-                              "presets, as in `repro fleet --devices`)")
+                              "presets, as in `repro tune --devices`)")
     p_serve.add_argument("--jobs", type=_at_least(1), default=None,
                          help="worker threads draining the fleet "
                               "(default: one per device)")

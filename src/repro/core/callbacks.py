@@ -1,30 +1,30 @@
-"""Tuning callbacks (AutoTVM-style ``callbacks=`` hooks).
+"""Stock event sinks: progress logging, record logging, a progress bar.
 
-Callbacks receive ``(tuner, new_measure_results)`` after every measured
-batch.  This module ships the three everyone needs: progress logging,
-record logging to a :class:`~repro.pipeline.records.RecordStore`, and a
-measurement-budget progress bar string for interactive use.
+Pass them in :meth:`Tuner.tune`'s ``on_event`` list, like any other
+sink.  Each acts on :class:`~repro.core.events.BatchMeasured` alone,
+reading the batch's measurement results from ``event.results``: progress
+logging, record logging to a :class:`~repro.pipeline.records.RecordStore`,
+and a measurement-budget progress bar string for interactive use.
 
-Callbacks may additionally implement an optional *state protocol*:
+Sinks may additionally implement an optional *state protocol*:
 
-* ``state_dict() -> dict`` / ``load_state_dict(dict)`` — the callback's
+* ``state_dict() -> dict`` / ``load_state_dict(dict)`` — the sink's
   resumable state.  :meth:`Tuner.snapshot` captures it into tuning
-  checkpoints and :meth:`Tuner.resume` restores it into the callbacks
-  of the resuming call, so counters and elapsed clocks continue instead
-  of restarting at zero.  Callbacks without the protocol get their
-  ``_count`` (when they have an integer one) seeded from the restored
-  measurement count.
-* ``close()`` — end-of-run cleanup, invoked by ``Tuner.tune``'s
-  ``finally`` block (e.g. the progress bar's terminal newline).
+  checkpoints and :meth:`Tuner.resume` restores it into the sink at the
+  same position of the resuming call's ``on_event`` list, so counters
+  and elapsed clocks continue instead of restarting at zero.
+* ``on_tune_begin(tuner, ...)`` / ``on_tune_end(tuner)`` — called as
+  :meth:`Tuner.tune` starts and (from its ``finally`` block) as it ends,
+  e.g. for the progress bar's terminal newline.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import List, Optional, TextIO
+from typing import Optional, TextIO
 
-from repro.hardware.measure import MeasureResult
+from repro.core.events import TuningEvent
 from repro.pipeline.records import RecordStore, TuningRecord
 from repro.utils.log import get_logger
 
@@ -34,8 +34,8 @@ logger = get_logger("core.callbacks")
 class LogProgress:
     """Log best-so-far GFLOPS every ``interval`` measurements.
 
-    A batch may span several interval boundaries (large ``--jobs``-scaled
-    batches); one line is emitted per boundary crossed, so the total
+    A batch may span several interval boundaries (a large batch, or a
+    small interval); one line is emitted per boundary crossed, so the total
     number of lines after ``n`` measurements is always
     ``n // interval`` regardless of batch sizing.
     """
@@ -47,9 +47,11 @@ class LogProgress:
         self._count = 0
         self._started = time.perf_counter()
 
-    def __call__(self, tuner, results: List[MeasureResult]) -> None:
+    def __call__(self, tuner, event: TuningEvent) -> None:
+        if event.kind != "batch_measured":
+            return
         previous = self._count
-        self._count += len(results)
+        self._count += len(event.results)
         first = previous // self.interval + 1
         last = self._count // self.interval
         if last < first:
@@ -85,8 +87,10 @@ class RecordToStore:
     def __init__(self, store: RecordStore):
         self.store = store
 
-    def __call__(self, tuner, results: List[MeasureResult]) -> None:
-        for result in results:
+    def __call__(self, tuner, event: TuningEvent) -> None:
+        if event.kind != "batch_measured":
+            return
+        for result in event.results:
             self.store.add(
                 TuningRecord(
                     workload=tuner.task.workload,
@@ -102,8 +106,8 @@ class ProgressBar:
     """Single-line text progress bar over the measurement budget.
 
     The terminating newline is written when the budget fills *or* from
-    :meth:`close` (called by ``Tuner.tune``'s ``finally`` block), so an
-    early-stopped or space-exhausted run does not leave the shell
+    :meth:`on_tune_end` (called by ``Tuner.tune``'s ``finally`` block),
+    so an early-stopped or space-exhausted run does not leave the shell
     prompt glued to the bar.
     """
 
@@ -128,8 +132,10 @@ class ProgressBar:
         bar = "#" * filled + "-" * (self.width - filled)
         return f"[{bar}] {self._count}/{self.total}"
 
-    def __call__(self, tuner, results: List[MeasureResult]) -> None:
-        self._count += len(results)
+    def __call__(self, tuner, event: TuningEvent) -> None:
+        if event.kind != "batch_measured":
+            return
+        self._count += len(event.results)
         self.stream.write(
             f"\r{self.render()} best={tuner.best_gflops:.1f} GFLOPS"
         )
@@ -139,7 +145,7 @@ class ProgressBar:
             self._line_open = False
         self.stream.flush()
 
-    def close(self) -> None:
+    def on_tune_end(self, tuner) -> None:
         """Terminate the bar line if it is still open (idempotent)."""
         if self._line_open:
             self.stream.write("\n")

@@ -11,8 +11,8 @@ Subclasses implement :meth:`Tuner._generate_initial` and
 best-so-far curve, and stopping.  Measurement itself goes through a
 pluggable :class:`~repro.hardware.executor.MeasureExecutor` (serial by
 default, optionally fault-injecting), and every decision point emits a
-structured :class:`~repro.core.events.TuningEvent` through the
-``on_event`` callbacks.
+structured :class:`~repro.core.events.TuningEvent` to the ``on_event``
+sinks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -74,8 +73,6 @@ from repro.utils.log import get_logger
 from repro.utils.rng import RngPool
 
 logger = get_logger("core.tuner")
-
-Callback = Callable[["Tuner", List[MeasureResult]], None]
 
 #: tuner attributes that are rebuilt from constructor arguments (or are
 #: only live inside ``tune``) and therefore stay out of checkpoints
@@ -148,7 +145,7 @@ class _Speculation:
 
 
 def _observer_states(observers: Sequence[object]) -> List[Optional[dict]]:
-    """Snapshot the optional state protocol of callbacks/event sinks.
+    """Snapshot the optional state protocol of event sinks.
 
     One entry per observer, positionally: ``{"type": ..., "state": ...}``
     for observers implementing ``state_dict()``, else ``None``.
@@ -166,17 +163,11 @@ def _observer_states(observers: Sequence[object]) -> List[Optional[dict]]:
 def _restore_observer_states(
     observers: Sequence[object],
     states: Optional[Sequence[Optional[dict]]],
-    num_measured: int,
-    seed_counts: bool,
 ) -> None:
-    """Restore checkpointed observer state positionally.
+    """Restore checkpointed event-sink state positionally.
 
-    An observer only loads a state entry recorded by an observer of the
-    same type at the same position; otherwise (legacy checkpoint, or
-    the resume call passes different observers) the fallback for
-    ``seed_counts=True`` is to seed an integer ``_count`` attribute
-    from the restored measurement count, which keeps count-based
-    callbacks (progress logs/bars) correct even without the protocol.
+    A sink only loads a state entry recorded by a sink of the same type
+    at the same position; any other entry is skipped with a warning.
     """
     saved = list(states or [])
     for i, obs in enumerate(observers):
@@ -185,16 +176,14 @@ def _restore_observer_states(
         if entry is not None and callable(loader):
             if entry.get("type") == type(obs).__name__:
                 loader(entry["state"])
-                continue
-            logger.warning(
-                "checkpointed state at position %d was written by %s, "
-                "not %s; falling back to count seeding",
-                i,
-                entry.get("type"),
-                type(obs).__name__,
-            )
-        if seed_counts and isinstance(getattr(obs, "_count", None), int):
-            obs._count = num_measured
+            else:
+                logger.warning(
+                    "checkpointed state at position %d was written by %s, "
+                    "not %s; not restored",
+                    i,
+                    entry.get("type"),
+                    type(obs).__name__,
+                )
 
 
 @dataclass(frozen=True)
@@ -346,9 +335,6 @@ TransferHistory`.  The injection happens once, inside the
         # event plumbing (active only inside tune())
         self._event_sinks: Sequence[EventCallback] = ()
         self._pending_events: List[TuningEvent] = []
-        #: events emitted so far, by kind — checkpointed with the rest
-        #: of the tuner state so a resumed run's counters keep climbing
-        self.event_counts: Dict[str, int] = {}
 
     @property
     def executor(self) -> MeasureExecutor:
@@ -512,9 +498,6 @@ TransferHistory`.  The injection happens once, inside the
 
     def _emit(self, event: TuningEvent) -> None:
         """Deliver one event to every registered sink."""
-        self.event_counts[event.kind] = (
-            self.event_counts.get(event.kind, 0) + 1
-        )
         for sink in self._event_sinks:
             sink(self, event)
 
@@ -569,7 +552,6 @@ TransferHistory`.  The injection happens once, inside the
         self,
         n_trial: int = 1024,
         early_stopping: Optional[int] = 400,
-        callbacks: Sequence[Callback] = (),
         on_event: Sequence[EventCallback] = (),
         checkpoint: CheckpointSpec = None,
         _resume: Optional[dict] = None,
@@ -577,10 +559,11 @@ TransferHistory`.  The injection happens once, inside the
         """Run the active-learning loop and return the result.
 
         ``n_trial`` bounds total measurements; ``early_stopping`` is the
-        no-improvement window (None disables it).  ``callbacks`` receive
-        ``(tuner, results)`` after each measured batch (the AutoTVM
-        hook); ``on_event`` receives ``(tuner, TuningEvent)`` at every
-        decision point.
+        no-improvement window (None disables it).  Each ``on_event`` sink
+        receives ``(tuner, TuningEvent)`` at every decision point; a
+        measured batch's results arrive as
+        :class:`~repro.core.events.BatchMeasured` (see
+        :mod:`repro.core.callbacks` for the stock sinks).
 
         ``checkpoint`` (a path or :class:`CheckpointPolicy`) snapshots
         the resumable tuner state at batch boundaries: if the process
@@ -591,7 +574,7 @@ TransferHistory`.  The injection happens once, inside the
         :meth:`resume`).
 
         Every batch runs through one loop: propose, measure, absorb,
-        emit, run callbacks, early-stop, checkpoint.  A tuner handed an
+        emit, early-stop, checkpoint.  A tuner handed an
         ``executor=`` speculates: while batch *k* is measured on this
         thread, a worker thread runs the post-measure sequence on the
         tuner itself — absorb the (predicted) results, refit, propose
@@ -681,7 +664,7 @@ TransferHistory`.  The injection happens once, inside the
                 # or consumes the first batch proposed ahead)
                 self._save_checkpoint(
                     policy, records, stopper, n_trial, early_stopping,
-                    initialized=initialized, callbacks=callbacks,
+                    initialized=initialized,
                     pending=self._pending_payload(current),
                 )
             while not stop and len(records) < n_trial:
@@ -788,7 +771,6 @@ TransferHistory`.  The injection happens once, inside the
                 if adopted:
                     new_records = spec.new_records
                     records.extend(new_records)
-                    # already counted by _emit on the worker thread
                     for event in spec.absorb_events:
                         for sink in self._event_sinks:
                             sink(self, event)
@@ -819,8 +801,6 @@ TransferHistory`.  The injection happens once, inside the
                         measure_s=measure_s,
                     )
                 )
-                for callback in callbacks:
-                    callback(self, results)
                 for record in new_records:
                     if stopper is not None and stopper.update(record.gflops):
                         stop = True
@@ -841,15 +821,15 @@ TransferHistory`.  The injection happens once, inside the
                 ):
                     self._save_checkpoint(
                         policy, records, stopper, n_trial, early_stopping,
-                        initialized=True, callbacks=callbacks,
+                        initialized=True,
                         pending=self._pending_payload(current),
                     )
                     batches_since_checkpoint = 0
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
-            # end-of-run notifications are best-effort: a broken sink or
-            # callback must not mask the result (or the real exception)
+            # end-of-run notifications are best-effort: a broken sink
+            # must not mask the result (or the real exception)
             for sink in self._event_sinks:
                 end = getattr(sink, "on_tune_end", None)
                 if callable(end):
@@ -858,15 +838,6 @@ TransferHistory`.  The injection happens once, inside the
                     except Exception:
                         logger.exception(
                             "%s: on_tune_end failed for %r", self.name, sink
-                        )
-            for callback in callbacks:
-                closer = getattr(callback, "close", None)
-                if callable(closer):
-                    try:
-                        closer()
-                    except Exception:
-                        logger.exception(
-                            "%s: close failed for %r", self.name, callback
                         )
             self._event_sinks = ()
 
@@ -1037,7 +1008,6 @@ TransferHistory`.  The injection happens once, inside the
         n_trial: int = 0,
         early_stopping: Optional[int] = None,
         initialized: bool = True,
-        callbacks: Sequence[Callback] = (),
         pending: Optional[dict] = None,
     ) -> TuningCheckpoint:
         """Capture the resumable state of this tuner as a checkpoint.
@@ -1046,8 +1016,8 @@ TransferHistory`.  The injection happens once, inside the
         measured state, every RNG stream mid-position, subclass policy
         state (captured generically — all tuner attributes are plain
         picklable data), the trial records, the early-stopper counters,
-        the measurement ordinal, and the state of any callbacks/event
-        sinks implementing the optional ``state_dict`` protocol (see
+        the measurement ordinal, and the state of any event sinks
+        implementing the optional ``state_dict`` protocol (see
         :mod:`repro.core.callbacks`).  The task environment and the
         executor are *not* serialized: both are pure functions of
         constructor arguments, so :meth:`resume` rebuilds them from the
@@ -1067,7 +1037,6 @@ TransferHistory`.  The injection happens once, inside the
                 if stopper is None
                 else (stopper._best, stopper._best_step, stopper._step)
             ),
-            "callback_states": _observer_states(callbacks),
             "sink_states": _observer_states(self._event_sinks),
         }
         if pending is not None:
@@ -1089,7 +1058,6 @@ TransferHistory`.  The injection happens once, inside the
     def resume(
         self,
         source: Union[str, Path, TuningCheckpoint],
-        callbacks: Sequence[Callback] = (),
         on_event: Sequence[EventCallback] = (),
         checkpoint: CheckpointSpec = _UNSET,  # type: ignore[assignment]
         n_trial: Optional[int] = None,
@@ -1121,18 +1089,7 @@ TransferHistory`.  The injection happens once, inside the
             default_spec = source
             where = str(source)
         payload = self._restore_checkpoint(ckpt, where)
-        _restore_observer_states(
-            callbacks,
-            payload.get("callback_states"),
-            self.num_measured,
-            seed_counts=True,
-        )
-        _restore_observer_states(
-            on_event,
-            payload.get("sink_states"),
-            self.num_measured,
-            seed_counts=False,
-        )
+        _restore_observer_states(on_event, payload.get("sink_states"))
         spec = default_spec if checkpoint is _UNSET else checkpoint
         return self.tune(
             n_trial=ckpt.n_trial if n_trial is None else n_trial,
@@ -1141,7 +1098,6 @@ TransferHistory`.  The injection happens once, inside the
                 if early_stopping is _UNSET
                 else early_stopping  # type: ignore[arg-type]
             ),
-            callbacks=callbacks,
             on_event=on_event,
             checkpoint=spec,
             _resume={
@@ -1160,7 +1116,6 @@ TransferHistory`.  The injection happens once, inside the
         n_trial: int,
         early_stopping: Optional[int],
         initialized: bool,
-        callbacks: Sequence[Callback] = (),
         pending: Optional[dict] = None,
     ) -> None:
         ckpt = self.snapshot(
@@ -1169,7 +1124,6 @@ TransferHistory`.  The injection happens once, inside the
             n_trial=n_trial,
             early_stopping=early_stopping,
             initialized=initialized,
-            callbacks=callbacks,
             pending=pending,
         )
         path = ckpt.save(policy.path)

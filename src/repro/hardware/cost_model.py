@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.hardware.device import GTX_1080_TI, GpuDevice
 from repro.hardware.resources import BlockRequirements, compute_occupancy
@@ -58,13 +58,6 @@ class KernelProfile:
     @property
     def is_memory_bound(self) -> bool:
         return self.mem_time_s > self.compute_time_s
-
-
-def _product(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out *= int(v)
-    return out
 
 
 def _get_split(values: Mapping[str, object], name: str) -> Tuple[int, ...]:

@@ -164,10 +164,6 @@ def normalize_device_name(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "", name.lower())
 
 
-#: deprecated alias — use :func:`normalize_device_name`
-_normalize_device_name = normalize_device_name
-
-
 #: preset handle -> device; keys are normalized (:func:`device_preset`
 #: also accepts raw marketing names like "GeForce GTX 1080 Ti")
 DEVICE_PRESETS: Dict[str, GpuDevice] = {

@@ -39,7 +39,6 @@ from repro.hardware.measure import (
     Measurer,
     MeasureResult,
 )
-from repro.obs.hooks import hooks_active, notify
 from repro.utils.log import get_logger
 
 logger = get_logger("hardware.executor")
@@ -127,12 +126,7 @@ class SerialExecutor(MeasureExecutor):
         self, config_indices: Sequence[int]
     ) -> List[MeasureResult]:
         """Deploy the batch sequentially via the wrapped measurer."""
-        if not hooks_active("measure"):
-            return self._measurer.measure_batch(config_indices)
-        start = time.perf_counter()
-        results = self._measurer.measure_batch(config_indices)
-        notify("measure", "serial", len(results), time.perf_counter() - start)
-        return results
+        return self._measurer.measure_batch(config_indices)
 
 
 # ----------------------------------------------------------------------

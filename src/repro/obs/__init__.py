@@ -1,7 +1,8 @@
 """Observability over the tuning event stream.
 
 ``repro.obs`` turns the structured :class:`TuningEvent` stream (plus a
-few deep hooks in the ensemble and the executors) into three exports:
+few deep hooks in the surrogate ensemble and its trees) into three
+exports:
 
 * a **Prometheus-style metrics snapshot** (:class:`MetricsRegistry`),
 * a **JSONL span trace** (:class:`TraceRecorder`), and

@@ -1,7 +1,7 @@
 """Thread-local observability hook bus.
 
-Deep subsystems (the bootstrap ensemble's refit, the measurement
-executors) have timing and counters worth exporting, but they sit far
+Deep subsystems (the bootstrap ensemble's refit, the gradient-boosted
+trees) have timing and counters worth exporting, but they sit far
 below the tuning loop and must not import the observer — and the
 observer must not import them.  This module is the seam: one list of
 registered hook callables per instrumentation point named in
@@ -33,12 +33,9 @@ from typing import Callable, Dict, List
 #:
 #: * ``refit`` ``(rows, duration_s, kind)`` — a surrogate-model refit
 #:   completed (``BootstrapEnsemble.fit``)
-#: * ``measure`` ``(backend, n_configs, duration_s)`` — an executor
-#:   deployed a batch (``SerialExecutor``, backend ``"serial"``); behind
-#:   a ``BuildStage`` that is one run of launchable configurations
 #: * ``refit_reuse`` ``(reused_trees,)`` — an incremental refit reused
 #:   previously grown trees (``GradientBoostedTrees``)
-POINTS = ("refit", "measure", "refit_reuse")
+POINTS = ("refit", "refit_reuse")
 
 _LOCAL = threading.local()
 

@@ -24,7 +24,7 @@ a resumed and an uninterrupted run by construction, and keeping those
 out of the trace is what lets span skeletons stay bit-identical across
 a crash/resume cycle.
 
-The observer itself implements the callback state protocol
+The observer itself implements the sink state protocol
 (``state_dict``/``load_state_dict``), so :meth:`Tuner.snapshot`
 checkpoints it and :meth:`Tuner.resume` restores it — a resumed run's
 summary and trace skeletons are identical to an uninterrupted run's.
@@ -104,10 +104,6 @@ _STATE_KEYS = {
     "best_curve": "curve",
 }
 
-#: name prefix of the counters the observer creates lazily, one per
-#: executor backend seen (``executor_batches_<backend>_total``)
-_EXECUTOR_COUNTER_PREFIX = "executor_batches_"
-
 
 class TuningObserver:
     """Subscribe to one tuning run; produce metrics, trace and summary.
@@ -130,7 +126,6 @@ class TuningObserver:
         self._step_id: Optional[int] = None
         self._hooks = {
             "refit": self._on_refit,
-            "measure": self._on_measure,
             "refit_reuse": self._on_refit_reuse,
         }
         self._hooks_active = False
@@ -343,13 +338,6 @@ class TuningObserver:
                 attrs={"rows": int(rows), "kind": kind},
             )
 
-    def _on_measure(self, backend: str, n: int, duration_s: float) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                f"{_EXECUTOR_COUNTER_PREFIX}{backend}_total",
-                f"batches deployed by the {backend} executor",
-            ).inc()
-
     def _on_refit_reuse(self, reused_trees: int) -> None:
         self._count(
             "refit_reused_trees", "refit_reused_trees_total", int(reused_trees)
@@ -393,9 +381,9 @@ class TuningObserver:
         """Restore from :meth:`state_dict`; clocks re-anchor to now.
 
         Keys this version does not know (counts of retired features)
-        are ignored; so are restored metrics the observer neither
-        declares nor creates itself, so a resumed run exports the same
-        series as an uninterrupted one.
+        are ignored; so are restored metrics the observer does not
+        declare, so a resumed run exports the same series as an
+        uninterrupted one.
         """
         self._run = RunSummary()
         for f in fields(RunSummary):
@@ -419,7 +407,6 @@ class TuningObserver:
                     name: entry
                     for name, entry in state["metrics"].items()
                     if name in self.metrics
-                    or name.startswith(_EXECUTOR_COUNTER_PREFIX)
                 }
             )
         if state.get("trace") is not None:

@@ -535,8 +535,9 @@ class DeploymentCompiler:
         sequence) shards the per-task tuning runs across a simulated
         device pool with ``fleet_jobs`` worker threads (one per device
         by default).  Without ``fleet`` the pool is one slot holding the
-        compiler's device, drained inline on the caller's thread
-        (``fleet_jobs`` then sets the worker threads for that slot).
+        compiler's device, drained inline on the caller's thread, and
+        ``fleet_jobs`` raises :class:`ValueError` before anything is
+        tuned.
         Each task is *measured on its home device's cost model*
         (``seq % len(fleet)``), and its tuning-log signature carries
         that same device class — the identity that produced the
@@ -606,10 +607,16 @@ class DeploymentCompiler:
         (:meth:`~repro.core.bted.DesignHelper.pays`), the prepared
         tasks' designs are computed off this process's interpreter lock,
         in a :class:`~repro.core.bted.DesignHelper` process the compile
-        starts at the first such preparation and stops when it ends;
-        designs asked for while it starts are computed here.  Records
-        and summaries stay bit-identical either way.
+        starts at the first preparation that has another one after it,
+        and stops when it ends; designs asked for while it starts are
+        computed here, so a compile that prepares only one task starts
+        none.  Records and summaries stay bit-identical either way.
         """
+        if fleet_jobs is not None and fleet is None:
+            raise ValueError(
+                f"fleet_jobs={fleet_jobs} needs a fleet: without fleet= "
+                "the compile drains its one slot on the caller's thread"
+            )
         if isinstance(executor, MeasureExecutor) and len(self.tasks) > 1:
             raise ValueError(
                 f"executor: a compile of {len(self.tasks)} tasks needs an "
@@ -680,7 +687,7 @@ class DeploymentCompiler:
         # tasks tuned one after another look one task ahead: the next
         # task is prepared on this task's worker thread while this
         # task's first batch is measured
-        lookahead = fleet is None and fleet_jobs in (None, 1)
+        lookahead = fleet is None
         ahead: Dict[int, Future] = {}
 
         # a BTED arm's prepared tasks take their designs from a helper
@@ -699,27 +706,33 @@ class DeploymentCompiler:
                 tuner.propose_initial()
             return tuner
 
-        def look_ahead(seq: int) -> Optional[Callable[[Callable], None]]:
-            """Task ``seq``'s first-dispatch trigger: prepare the next
-            task, unless it is served from the log or continues from
-            its ``.done`` or ``.ckpt`` file."""
-            nxt = seq + 1
-            if (
-                not lookahead
-                or nxt == len(keys)
-                or consulted.get(keys[nxt], (None,))[0] is not None
-            ):
-                return None
-            done_path, ckpt_path, _ = task_paths(nxt)
-            if resume and any(
+        def preparable(seq: int) -> bool:
+            """Whether task ``seq`` may be prepared ahead: it is neither
+            served from the log nor continued from its ``.done`` or
+            ``.ckpt`` file."""
+            if consulted.get(keys[seq], (None,))[0] is not None:
+                return False
+            done_path, ckpt_path, _ = task_paths(seq)
+            return not resume or not any(
                 path is not None and path.exists()
                 for path in (done_path, ckpt_path)
-            ):
+            )
+
+        def look_ahead(seq: int) -> Optional[Callable[[Callable], None]]:
+            """Task ``seq``'s first-dispatch trigger: prepare the next
+            task, if it may be."""
+            nxt = seq + 1
+            if not lookahead or nxt == len(keys) or not preparable(nxt):
                 return None
+            # a helper answers only once it has started, so it pays
+            # only if a task after the next will be prepared too
+            later = use_helper and any(
+                preparable(j) for j in range(nxt + 1, len(keys))
+            )
 
             def start(submit: Callable[..., Future]) -> None:
                 nonlocal helper
-                if use_helper and helper is None:
+                if later and helper is None:
                     # started at the first dispatch, not before: its
                     # start-up would take a CPU from the first design,
                     # whose BLAS calls want both

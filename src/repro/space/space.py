@@ -265,12 +265,6 @@ class ConfigSpace:
         ]
         return np.concatenate(parts, axis=1)
 
-    def knob_index_matrix(self, indices: Sequence[int]) -> np.ndarray:
-        """Per-knob candidate indices as a float matrix (for L2 radii)."""
-        if len(indices) == 0:
-            return np.empty((0, len(self.knobs)))
-        return self.decode_batch(indices).astype(np.float64)
-
     # ------------------------------------------------------------------
     # sampling
 

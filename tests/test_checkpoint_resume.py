@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -13,12 +14,19 @@ from repro.core.checkpoint import (
     CheckpointPolicy,
     TuningCheckpoint,
 )
-from repro.core.events import CheckpointSaved, TuningResumed
+from repro.core.events import (
+    BatchProposed,
+    CheckpointSaved,
+    EventLog,
+    MeasurementFailed,
+    TuningResumed,
+)
 from repro.hardware.faults import FaultModel, RetryPolicy
 from repro.hardware.executor import build_executor
 from repro.hardware.measure import SimulatedTask
 from repro.learning import tree
 from repro.nn.workloads import DenseWorkload
+from repro.obs import TuningObserver
 from repro.space.space import FeatureCache
 from tests import ensemble_oracle
 
@@ -50,7 +58,9 @@ def _trace(result):
     ]
 
 
-def _crash_after(tuner, n_batches, path, n_trial, early_stopping=None):
+def _crash_after(
+    tuner, n_batches, path, n_trial, early_stopping=None, on_event=()
+):
     """Run ``tune`` but abort after ``n_batches`` measured batches."""
 
     class _Crash(Exception):
@@ -69,7 +79,7 @@ def _crash_after(tuner, n_batches, path, n_trial, early_stopping=None):
             n_trial=n_trial,
             early_stopping=early_stopping,
             checkpoint=CheckpointPolicy(path=path, every=1),
-            on_event=[bomb],
+            on_event=[*on_event, bomb],
         )
 
 
@@ -294,6 +304,49 @@ class TestCrashResume:
         assert resumed.best_index == baseline.best_index
         assert resumed.best_gflops == baseline.best_gflops
 
+    @pytest.mark.parametrize("arm", ["random", "bted+bao"])
+    def test_checkpoint_carrying_callback_states_resumes(
+        self, tmp_path, dense_task, arm
+    ):
+        # checkpoints once carried the state of ``tune(callbacks=)``
+        # (``callback_states``, positional) and a tuner attribute
+        # ``event_counts``; the resumed run ignores the first, takes the
+        # second back unread, and its records and summary are the
+        # uninterrupted run's
+        kwargs = ARM_KWARGS[arm]
+        n_trial = 20
+        baseline_obs = TuningObserver()
+        baseline = make_tuner(arm, dense_task, seed=5, **kwargs).tune(
+            n_trial=n_trial, early_stopping=None, on_event=[baseline_obs]
+        )
+        path = tmp_path / "old.ckpt"
+        log = EventLog()
+        _crash_after(
+            make_tuner(arm, dense_task, seed=5, **kwargs), n_batches=1,
+            path=path, n_trial=n_trial, on_event=[TuningObserver(), log],
+        )
+        ckpt = TuningCheckpoint.load(path)
+        payload = pickle.loads(ckpt.payload)
+        payload["callback_states"] = [
+            {"type": "LogProgress", "state": {"count": 8, "elapsed_s": 0.5}},
+            None,
+        ]
+        payload["tuner_state"]["event_counts"] = dict(
+            Counter(event.kind for event in log.events)
+        )
+        dataclasses.replace(ckpt, payload=pickle.dumps(payload)).save(path)
+
+        resumed_obs = TuningObserver()
+        resumed = make_tuner(arm, dense_task, seed=5, **kwargs).resume(
+            path, on_event=[resumed_obs]
+        )
+        assert _trace(resumed) == _trace(baseline)
+        assert resumed.best_index == baseline.best_index
+        assert (
+            resumed_obs.summary().deterministic_dict()
+            == baseline_obs.summary().deterministic_dict()
+        )
+
     @pytest.mark.parametrize("refit", ["full", "incremental"])
     @pytest.mark.parametrize("batches", [0, 1, 4])
     def test_checkpoint_carrying_ensemble_knobs_resumes(
@@ -462,15 +515,23 @@ class TestCrashResume:
     ):
         path = tmp_path / "ev.ckpt"
         crashed = make_tuner("random", dense_task, seed=5, batch_size=8)
-        _crash_after(crashed, n_batches=1, path=path, n_trial=24)
-        events = []
+        _crash_after(
+            crashed, n_batches=1, path=path, n_trial=24,
+            on_event=[TuningObserver()],
+        )
+        events, observer = [], TuningObserver()
         fresh = make_tuner("random", dense_task, seed=5, batch_size=8)
-        fresh.resume(path, on_event=[lambda t, e: events.append(e)])
+        fresh.resume(
+            path, on_event=[observer, lambda t, e: events.append(e)]
+        )
         resumed_events = [e for e in events if isinstance(e, TuningResumed)]
         assert len(resumed_events) == 1
         assert resumed_events[0].restored_records == 8
-        # counters restored from the checkpoint keep climbing
-        assert fresh.event_counts["batch_proposed"] >= 2
+        # counters restored from the checkpoint keep climbing: the
+        # resumed run proposed two batches after the crashed run's one
+        assert sum(isinstance(e, BatchProposed) for e in events) == 2
+        assert observer.metrics.get("batches_total").value == 3
+        assert observer.summary().batches == 3
 
     def test_resume_with_faults_replays_remaining_schedule(
         self, tmp_path, dense_task
@@ -545,8 +606,9 @@ class TestCrashResume:
             "random", dense_task, seed=5, batch_size=8,
             executor=executor_spec,
         )
-        result = tuner.tune(n_trial=32, early_stopping=None)
+        log = EventLog()
+        result = tuner.tune(n_trial=32, early_stopping=None, on_event=[log])
         assert result.num_measurements == 32
         failed = [r for r in result.records if r.error]
         assert failed
-        assert tuner.event_counts.get("measurement_failed") == len(failed)
+        assert len(log.of_type(MeasurementFailed)) == len(failed)

@@ -22,13 +22,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tune", "--model", "lenet"])
 
-    def test_tune_has_no_measurement_backend_flags(self):
-        # measurements run in parallel across tasks: `fleet --jobs`
-        for flags in (["--executor", "parallel"], ["--jobs", "2"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(
-                    ["tune", "--model", "alexnet", *flags]
-                )
+    def test_tune_has_no_measurement_backend_flags(self, capsys):
+        # measurements run in parallel across tasks: `--devices --jobs`
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["tune", "--model", "alexnet", "--executor", "parallel"]
+            )
+        assert main(["tune", "--model", "alexnet", "--jobs", "2"]) == 2
+        assert "--jobs requires --devices" in capsys.readouterr().err
+
+    def test_fleet_command_is_gone(self, capsys):
+        # a compile on a device pool is `tune --devices`
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fleet", "--model", "alexnet"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fleet'" in capsys.readouterr().err
 
     def test_experiment_choices(self):
         with pytest.raises(SystemExit):
@@ -38,7 +46,8 @@ class TestParser:
         # speculation follows from measuring through an executor
         for argv in (
             ["tune", "--model", "alexnet", "--pipeline"],
-            ["fleet", "--model", "alexnet", "--pipeline"],
+            ["tune", "--model", "alexnet", "--devices", "gtx1080ti",
+             "--pipeline"],
             ["serve", "--data-dir", "d", "--pipeline"],
         ):
             with pytest.raises(SystemExit) as excinfo:
@@ -75,9 +84,12 @@ class TestCommands:
         assert "latency" in out
         assert records.exists()
 
-    @pytest.mark.parametrize("command", ["tune", "fleet"])
+    @pytest.mark.parametrize(
+        "pool", [[], ["--devices", "gtx1080ti,gtx1080ti"]],
+        ids=["tune", "fleet"],
+    )
     def test_records_survive_a_failing_latency_step(
-        self, capsys, tmp_path, monkeypatch, command
+        self, capsys, tmp_path, monkeypatch, pool
     ):
         from repro.nn.zoo import build_model
         from repro.pipeline.compiler import CompiledModel, DeploymentCompiler
@@ -89,7 +101,7 @@ class TestCommands:
         records = tmp_path / "records.jsonl"
         with pytest.raises(RuntimeError, match="latency step failed"):
             main([
-                command,
+                "tune", *pool,
                 "--model", "squeezenet-v1.1",
                 "--arm", "random",
                 "--budget", "8",
@@ -293,16 +305,21 @@ class TestCommands:
 
 
 class TestFleetCommand:
+    """``tune --devices``: a compile on a simulated device pool."""
+
     def test_fleet_defaults(self):
         args = build_parser().parse_args(
-            ["fleet", "--model", "squeezenet-v1.1"]
+            ["tune", "--model", "squeezenet-v1.1"]
         )
-        assert args.devices == "gtx1080ti,gtx1080ti"
+        # no pool: the compile runs on the compiler's own device
+        assert args.devices is None
         assert args.jobs is None
+        assert args.report is None and args.summary_dir is None
 
     def test_fleet_resume_requires_checkpoint_dir(self, capsys):
         code = main([
-            "fleet", "--model", "squeezenet-v1.1", "--resume",
+            "tune", "--model", "squeezenet-v1.1",
+            "--devices", "gtx1080ti,gtx1080ti", "--resume",
         ])
         assert code == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
@@ -310,9 +327,45 @@ class TestFleetCommand:
     def test_fleet_bad_device_spec(self, capsys):
         with pytest.raises(ValueError):
             main([
-                "fleet", "--model", "squeezenet-v1.1",
+                "tune", "--model", "squeezenet-v1.1",
                 "--devices", "gtx9999",
             ])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--jobs", "2"],
+            ["--report", "fleet.json"],
+            ["--summary-dir", "summaries"],
+        ],
+        ids=["jobs", "report", "summary-dir"],
+    )
+    def test_pool_flags_require_devices(
+        self, capsys, monkeypatch, tmp_path, flags
+    ):
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "build_model", _no_work)
+        monkeypatch.chdir(tmp_path)
+        assert main(["tune", "--model", "squeezenet-v1.1", *flags]) == 2
+        assert f"{flags[0]} requires --devices" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_uniform_pool_writes_the_records_of_a_tune(self, capsys, tmp_path):
+        # a pool of the compiler's own device class measures every task
+        # as a compile without a pool does
+        argv = [
+            "--model", "squeezenet-v1.1", "--arm", "random",
+            "--budget", "8", "--runs", "50", "--seed", "1",
+        ]
+        pooled, alone = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main([
+            "tune", *argv, "--devices", "gtx1080ti,gtx1080ti",
+            "--records", str(pooled),
+        ]) == 0
+        assert main(["tune", *argv, "--records", str(alone)]) == 0
+        capsys.readouterr()
+        assert pooled.read_text() == alone.read_text()
 
     def test_fleet_small_run_matches_serial_tune(self, capsys, tmp_path):
         # a uniform pool of the compiler's own device class reproduces
@@ -325,7 +378,7 @@ class TestFleetCommand:
             "--budget", "8", "--runs", "50", "--seed", "3",
         ]
         code = main([
-            "fleet", *argv,
+            "tune", *argv,
             "--devices", "gtx1080ti,gtx1080ti,gtx1080ti",
             "--checkpoint-dir", str(tmp_path / "ckpt"),
             "--report", str(tmp_path / "fleet.json"),
@@ -349,7 +402,7 @@ class TestFleetCommand:
         # heterogeneous pool: runs end to end, and the scheduling
         # report carries the per-class rollup
         code = main([
-            "fleet", "--model", "squeezenet-v1.1", "--arm", "random",
+            "tune", "--model", "squeezenet-v1.1", "--arm", "random",
             "--budget", "8", "--runs", "50", "--seed", "3",
             "--devices", "gtx1080ti,titanv,jetsontx2",
             "--report", str(tmp_path / "fleet.json"),
@@ -366,6 +419,50 @@ class TestFleetCommand:
             entry["utilization"] for entry in report["by_class"].values()
         ) == pytest.approx(1.0, abs=1e-4)
 
+    def test_failed_pool_exits_1_with_the_resume_hint(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.pipeline.compiler import DeploymentCompiler
+
+        tune_one = DeploymentCompiler._tune_one
+
+        def failing(compiler, spec, *args):
+            if spec.task_id == 1:
+                raise RuntimeError("board unplugged")
+            return tune_one(compiler, spec, *args)
+
+        monkeypatch.setattr(DeploymentCompiler, "_tune_one", failing)
+        assert main([
+            "tune", "--model", "squeezenet-v1.1", "--arm", "random",
+            "--budget", "8", "--devices", "gtx1080ti,gtx1080ti",
+            "--checkpoint-dir", str(tmp_path / "ckpt"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "fleet aborted" in err and "board unplugged" in err
+        assert "rerun with --resume" in err
+
+    def test_pool_takes_every_tune_output(self, capsys, tmp_path):
+        # Winograd templates and the observability exports work on a
+        # pool too
+        metrics = tmp_path / "metrics.prom"
+        trace = tmp_path / "trace.jsonl"
+        summary = tmp_path / "summary.json"
+        assert main([
+            "tune", "--model", "squeezenet-v1.1", "--arm", "random",
+            "--budget", "8", "--runs", "50", "--winograd",
+            "--devices", "gtx1080ti,titanv",
+            "--metrics-out", str(metrics),
+            "--trace-out", str(trace),
+            "--summary", str(summary),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "fleet of 2" in out and "summary  :" in out
+        assert "winograd" in out
+        assert "repro_measurements_total" in metrics.read_text()
+        assert trace.read_text()
+        payload = json.loads(summary.read_text())
+        assert payload["runs"] == len(payload["tasks"]) >= 1
+
 
 def _no_work(*_args, **_kwargs):
     raise AssertionError("a bad number reached the command")
@@ -375,9 +472,12 @@ def _no_work(*_args, **_kwargs):
 BAD_NUMBERS = [
     (["tune", "--model", "squeezenet-v1.1", "--runs", "1"], "--runs"),
     (["tune", "--model", "squeezenet-v1.1", "--budget", "0"], "--budget"),
-    (["fleet", "--model", "squeezenet-v1.1", "--runs", "1"], "--runs"),
-    (["fleet", "--model", "squeezenet-v1.1", "--budget", "-3"], "--budget"),
-    (["fleet", "--model", "squeezenet-v1.1", "--jobs", "0"], "--jobs"),
+    (["tune", "--devices", "titanv", "--runs", "1", "--model", "alexnet"],
+     "--runs"),
+    (["tune", "--devices", "titanv", "--budget", "-3", "--model", "alexnet"],
+     "--budget"),
+    (["tune", "--devices", "titanv", "--jobs", "0", "--model", "alexnet"],
+     "--jobs"),
     (
         ["compile", "--model", "squeezenet-v1.1", "--tlog-dir", "db",
          "--runs", "1"],
@@ -421,7 +521,8 @@ class TestBadNumbers:
         tune = parse(["tune", "--model", "alexnet", "--runs", "2",
                       "--budget", "1"])
         assert (tune.runs, tune.budget) == (2, 1)
-        fleet = parse(["fleet", "--model", "alexnet", "--jobs", "1"])
+        fleet = parse(["tune", "--model", "alexnet", "--devices",
+                       "gtx1080ti", "--jobs", "1"])
         assert fleet.jobs == 1
         exp = parse(["experiment", "fig4", "--scale", "1", "--jobs", "1"])
         assert (exp.scale, exp.jobs) == (1.0, 1)

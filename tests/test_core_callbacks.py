@@ -1,4 +1,4 @@
-"""Tests for repro.core.callbacks."""
+"""Tests for repro.core.callbacks: the stock event sinks."""
 
 import io
 import logging
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.callbacks import LogProgress, ProgressBar, RecordToStore
+from repro.core.events import BatchMeasured, BatchProposed
 from repro.core.tuners.random import RandomTuner
 from repro.pipeline.records import RecordStore
 
@@ -17,12 +18,17 @@ class _FakeTuner:
     best_gflops = 1.0
 
 
+def _measured(n):
+    """A measured batch of ``n`` placeholder results."""
+    return BatchMeasured(step=n, results=(object(),) * n, measure_s=0.0)
+
+
 class TestRecordToStore:
     def test_records_everything(self, small_task):
         store = RecordStore()
         tuner = RandomTuner(small_task, seed=0, batch_size=8)
         result = tuner.tune(
-            n_trial=24, early_stopping=None, callbacks=[RecordToStore(store)]
+            n_trial=24, early_stopping=None, on_event=[RecordToStore(store)]
         )
         assert len(store) == result.num_measurements
 
@@ -30,7 +36,7 @@ class TestRecordToStore:
         store = RecordStore()
         tuner = RandomTuner(small_task, seed=0, batch_size=8)
         result = tuner.tune(
-            n_trial=24, early_stopping=None, callbacks=[RecordToStore(store)]
+            n_trial=24, early_stopping=None, on_event=[RecordToStore(store)]
         )
         best = store.best_for(small_task.workload)
         assert best is not None
@@ -43,7 +49,7 @@ class TestProgressBar:
         stream = io.StringIO()
         bar = ProgressBar(total=16, width=10, stream=stream)
         tuner = RandomTuner(small_task, seed=0, batch_size=8)
-        tuner.tune(n_trial=16, early_stopping=None, callbacks=[bar])
+        tuner.tune(n_trial=16, early_stopping=None, on_event=[bar])
         output = stream.getvalue()
         assert "16/16" in output
         assert "best=" in output
@@ -55,27 +61,28 @@ class TestProgressBar:
 
     def test_partial_run_still_terminates_line(self, small_task):
         # budget smaller than the bar total: the bar never fills, but
-        # Tuner.tune's finally block calls close() so the line ends
+        # Tuner.tune's finally block calls on_tune_end so the line ends
         stream = io.StringIO()
         bar = ProgressBar(total=64, width=10, stream=stream)
         tuner = RandomTuner(small_task, seed=0, batch_size=8)
-        tuner.tune(n_trial=16, early_stopping=None, callbacks=[bar])
+        tuner.tune(n_trial=16, early_stopping=None, on_event=[bar])
         assert stream.getvalue().endswith("\n")
         assert not bar._line_open
 
     def test_close_is_idempotent(self):
         stream = io.StringIO()
         bar = ProgressBar(total=8, stream=stream)
-        bar(_FakeTuner(), [object()] * 4)
-        bar.close()
+        bar(_FakeTuner(), _measured(4))
+        bar.on_tune_end(_FakeTuner())
         before = stream.getvalue()
-        bar.close()
+        bar.on_tune_end(_FakeTuner())
         assert stream.getvalue() == before
         assert before.count("\n") == 1
 
     def test_state_roundtrip(self):
         bar = ProgressBar(total=8, stream=io.StringIO())
-        bar(_FakeTuner(), [object()] * 3)
+        bar(_FakeTuner(), BatchProposed(step=0, config_indices=(1, 2)))
+        bar(_FakeTuner(), _measured(3))
         fresh = ProgressBar(total=8, stream=io.StringIO())
         fresh.load_state_dict(bar.state_dict())
         assert fresh._count == 3
@@ -84,10 +91,10 @@ class TestProgressBar:
 
 class TestLogProgress:
     def test_runs_without_error(self, small_task):
-        callback = LogProgress(interval=8)
+        sink = LogProgress(interval=8)
         tuner = RandomTuner(small_task, seed=0, batch_size=8)
-        tuner.tune(n_trial=16, early_stopping=None, callbacks=[callback])
-        assert callback._count == 16
+        tuner.tune(n_trial=16, early_stopping=None, on_event=[sink])
+        assert sink._count == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -101,8 +108,8 @@ class TestLogProgress:
         assert fresh._count == 9
 
     @staticmethod
-    def _drive(callback, batches):
-        """Feed batches through the callback, returning emitted records."""
+    def _drive(sink, batches):
+        """Feed measured batches to the sink, returning emitted records."""
         records = []
 
         class _Capture(logging.Handler):
@@ -116,7 +123,7 @@ class TestLogProgress:
         target.setLevel(logging.INFO)
         try:
             for batch in batches:
-                callback(_FakeTuner(), [object()] * batch)
+                sink(_FakeTuner(), _measured(batch))
         finally:
             target.removeHandler(handler)
             target.setLevel(old_level)

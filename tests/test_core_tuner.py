@@ -127,12 +127,13 @@ class TestTuneLoop:
     def test_callbacks_see_all_measurements(self, small_task):
         seen = []
 
-        def callback(tuner, results):
-            seen.extend(results)
+        def sink(tuner, event):
+            if event.kind == "batch_measured":
+                seen.extend(event.results)
 
         tuner = RandomTuner(small_task, seed=0, batch_size=16)
         result = tuner.tune(n_trial=48, early_stopping=None,
-                            callbacks=[callback])
+                            on_event=[sink])
         assert len(seen) == result.num_measurements
 
     def test_exhausts_tiny_space(self):

@@ -13,7 +13,6 @@ from repro.hardware.device import (
     TITAN_V,
     XEON_GOLD_6130,
     GpuDevice,
-    _normalize_device_name,
     device_preset,
     normalize_device_name,
 )
@@ -131,9 +130,6 @@ class TestNormalizeDeviceName:
         assert normalize_device_name("GeForce GTX 1080 Ti") == "geforcegtx1080ti"
         assert normalize_device_name("Titan V") == "titanv"
         assert normalize_device_name("Xeon Gold 6130") == "xeongold6130"
-
-    def test_deprecated_alias_is_same_function(self):
-        assert _normalize_device_name is normalize_device_name
 
 
 class TestPresetRegistry:

@@ -665,8 +665,8 @@ class TestDesignHelper:
         assert proc.wait(timeout=30) == 0
 
     @pytest.mark.parametrize("case", [
-        "one task", "fleet", "non-BTED arm", "served from the log",
-        "resumed", "one CPU", "pool worker",
+        "one task", "two tasks", "fleet", "non-BTED arm",
+        "served from the log", "resumed", "one CPU", "pool worker",
     ])
     def test_a_compile_that_starts_none(
         self, case, helpers, tmp_path, monkeypatch
@@ -674,6 +674,10 @@ class TestDesignHelper:
         arm, kwargs = ("random" if case == "non-BTED arm" else self.ARM), {}
         if case == "one task":
             kwargs["tasks"] = slice(0, 1)
+        elif case == "two tasks":
+            # task 1 is prepared, and asks for its design while the
+            # helper would still be starting
+            kwargs["tasks"] = slice(0, 2)
         elif case == "fleet":
             kwargs["fleet"] = "gtx1080ti,gtx1080ti"
         elif case == "served from the log":

@@ -41,7 +41,7 @@ ARM_KWARGS = {
 }
 
 
-def _crash_after(tuner, n_batches, path, n_trial, callbacks=(), on_event=()):
+def _crash_after(tuner, n_batches, path, n_trial, on_event=()):
     """Run ``tune`` but abort after ``n_batches`` checkpointed batches."""
 
     class _Crash(Exception):
@@ -60,7 +60,6 @@ def _crash_after(tuner, n_batches, path, n_trial, callbacks=(), on_event=()):
             n_trial=n_trial,
             early_stopping=None,
             checkpoint=CheckpointPolicy(path=path, every=1),
-            callbacks=list(callbacks),
             on_event=list(on_event) + [bomb],
         )
 
@@ -124,7 +123,8 @@ class TestObserverSummary:
         assert flat["measurements_total"] == result.num_measurements
         assert flat["refits_total"] == s.refits
         assert flat["measured"] == s.num_measurements
-        assert flat["executor_batches_serial_total"] == s.batches
+        # batches are counted once, by batches_total
+        assert not [name for name in flat if name.startswith("executor_")]
         text = obs.metrics.render_prometheus()
         assert "repro_measurements_total" in text
 
@@ -337,9 +337,9 @@ class TestOneListContract:
         hooks.add_hook("refit_reuse", seen.append)
         try:
             assert hooks.hooks_active("refit_reuse")
-            assert not hooks.hooks_active("measure")
+            assert not hooks.hooks_active("refit")
             hooks.notify("refit_reuse", 3)
-            hooks.notify("measure", "serial", 2, 0.0)
+            hooks.notify("refit", 40, 0.0, "full")
         finally:
             hooks.remove_hook("refit_reuse", seen.append)
         assert seen == [3]
@@ -385,27 +385,6 @@ class TestOneListContract:
 
 
 class TestCallbackResume:
-    def test_legacy_count_seeded_from_measurements(
-        self, tmp_path, dense_task
-    ):
-        class Legacy:
-            """Count-keeping callback without the state protocol."""
-
-            def __init__(self):
-                self._count = 0
-
-            def __call__(self, tuner, results):
-                self._count += len(results)
-
-        path = tmp_path / "run.ckpt"
-        crashed = make_tuner("random", dense_task, seed=3, batch_size=8)
-        _crash_after(crashed, 2, path, 32, callbacks=[Legacy()])
-
-        fresh = Legacy()
-        resumed = make_tuner("random", dense_task, seed=3, batch_size=8)
-        result = resumed.resume(path, callbacks=[fresh])
-        assert fresh._count == result.num_measurements
-
     def test_log_progress_resume_tail_matches_uninterrupted(
         self, tmp_path, dense_task, caplog
     ):
@@ -425,7 +404,7 @@ class TestCallbackResume:
             baseline.tune(
                 n_trial=n_trial,
                 early_stopping=None,
-                callbacks=[LogProgress(interval=interval)],
+                on_event=[LogProgress(interval=interval)],
             )
             full = lines()
             assert [b for b, _ in full] == [8, 16, 24, 32]
@@ -435,17 +414,17 @@ class TestCallbackResume:
             crashed = make_tuner("random", dense_task, seed=3, batch_size=8)
             _crash_after(
                 crashed, 2, path, n_trial,
-                callbacks=[LogProgress(interval=interval)],
+                on_event=[LogProgress(interval=interval)],
             )
             head = lines()
             assert [b for b, _ in head] == [8, 16]
 
             caplog.clear()
             resumed = make_tuner("random", dense_task, seed=3, batch_size=8)
-            resumed.resume(path, callbacks=[LogProgress(interval=interval)])
+            resumed.resume(path, on_event=[LogProgress(interval=interval)])
             tail = lines()
 
-        # the resumed callback continues exactly where the crashed run
+        # the resumed sink continues exactly where the crashed run
         # stopped: no repeats, no resets, values identical to baseline
         assert tail == full[len(head):]
 
@@ -583,15 +562,33 @@ def _with_legacy_cache_entries(state: dict) -> dict:
     return state
 
 
-def _add_legacy_cache_entries_to_checkpoint(path) -> None:
-    """Rewrite a checkpoint's observer sink state to the cache version."""
+def _rewrite_sink_state(path, legacy=_with_legacy_cache_entries) -> None:
+    """Rewrite a checkpoint's observer sink state to a ``legacy`` one."""
     from repro.core.checkpoint import TuningCheckpoint
 
     saved = TuningCheckpoint.load(path)
     payload = pickle.loads(saved.payload)
     (sink,) = [s for s in payload["sink_states"] if s is not None]
-    sink["state"] = _with_legacy_cache_entries(sink["state"])
+    sink["state"] = legacy(sink["state"])
     dataclasses.replace(saved, payload=pickle.dumps(payload)).save(path)
+
+
+#: the counter observer state carried while ``SerialExecutor`` fed a
+#: ``measure`` hook point: batches deployed, one per executor run
+LEGACY_EXECUTOR_METRICS = {
+    "executor_batches_serial_total": {
+        "type": "counter", "help": "batches deployed by the serial executor",
+        "state": {"value": 3.0},
+    },
+}
+
+
+def _with_legacy_executor_counter(state: dict) -> dict:
+    """An observer state as the version with the ``measure`` point wrote
+    it."""
+    assert state["metrics"] is not None
+    metrics = dict(state["metrics"], **LEGACY_EXECUTOR_METRICS)
+    return dict(state, metrics=metrics)
 
 
 def _prometheus_counters(text: str) -> dict:
@@ -710,12 +707,12 @@ class TestLegacyCacheState:
         tuner().tune(n_trial=24, early_stopping=None, on_event=[baseline])
         path = tmp_path / "c.ckpt"
         _crash_after(tuner(), 1, path, 24, on_event=[TuningObserver()])
-        _add_legacy_cache_entries_to_checkpoint(path)
+        _rewrite_sink_state(path)
         resumed = TuningObserver()
         tuner().resume(path, on_event=[resumed])
         text = resumed.metrics.render_prometheus()
         assert "cache" not in text
-        assert "repro_executor_batches_serial_total" in text
+        assert "executor_batches" not in text
         assert _prometheus_counters(text) == _prometheus_counters(
             baseline.metrics.render_prometheus()
         )
@@ -731,10 +728,10 @@ class TestLegacyCacheState:
         for path in finished:
             state = json.loads(path.read_text())
             path.write_text(json.dumps(_with_legacy_cache_entries(state)))
-        _add_legacy_cache_entries_to_checkpoint(ckpt / "task-001.ckpt")
+        _rewrite_sink_state(ckpt / "task-001.ckpt")
         resumed = _compile(RunObservation(enable_trace=False), ckpt, True)
         assert resumed == baseline
-        assert "repro_executor_batches_serial_total" in resumed[2]
+        assert "repro_executor_batches_serial_total" not in resumed[2]
 
     def test_aggregate_summary_dir_reads_cells_with_cache_keys(
         self, tmp_path
@@ -759,3 +756,33 @@ class TestLegacyCacheState:
         assert agg["runs"] == 2
         assert agg["batches"] == 6
         assert not any(key.startswith("cache_") for key in agg)
+
+
+class TestLegacyExecutorCounterState:
+    """Observer state written while the hook bus had a ``measure`` point."""
+
+    def test_state_loads_and_resumes_to_the_uninterrupted_series(
+        self, tmp_path, dense_task
+    ):
+        def tuner():
+            return make_tuner(
+                "bted", dense_task, seed=5, **ARM_KWARGS["bted"]
+            )
+
+        baseline = TuningObserver()
+        tuner().tune(n_trial=24, early_stopping=None, on_event=[baseline])
+        path = tmp_path / "c.ckpt"
+        _crash_after(tuner(), 1, path, 24, on_event=[TuningObserver()])
+        _rewrite_sink_state(path, legacy=_with_legacy_executor_counter)
+        resumed = TuningObserver()
+        tuner().resume(path, on_event=[resumed])
+        assert (
+            resumed.summary().deterministic_dict()
+            == baseline.summary().deterministic_dict()
+        )
+        assert sorted(m.name for m in resumed.metrics) == sorted(
+            m.name for m in baseline.metrics
+        )
+        assert _metric_counts(resumed.metrics) == _metric_counts(
+            baseline.metrics
+        )

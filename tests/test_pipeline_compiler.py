@@ -210,6 +210,18 @@ class TestCompileContracts:
         )
         assert board.num_measurements == 16
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fleet_jobs_needs_a_fleet(self, three, tmp_path, jobs):
+        # without a fleet the one slot drains on the caller's thread,
+        # so there are no worker threads to set; nothing is tuned
+        finished = []
+        with pytest.raises(ValueError, match="fleet_jobs"):
+            self._tune(
+                three, fleet_jobs=jobs, checkpoint_dir=tmp_path,
+                progress=lambda spec, result: finished.append(spec),
+            )
+        assert finished == [] and list(tmp_path.iterdir()) == []
+
     def test_progress_fires_before_the_next_task_measures(self, three):
         observation = RunObservation(enable_metrics=False, enable_trace=False)
         measured_next = []

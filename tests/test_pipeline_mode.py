@@ -246,7 +246,7 @@ def _never_speculate(monkeypatch):
 
 
 def _state(tuner):
-    """The resumable tuner state, minus the speculation-only counter.
+    """The resumable tuner state.
 
     Pickled without a memo, so the bytes depend on values only, not on
     which equal objects happen to be one object (a restored snapshot
@@ -255,10 +255,6 @@ def _state(tuner):
     memory.
     """
     state = tuner._resumable_state()
-    state["event_counts"] = {
-        kind: n for kind, n in state["event_counts"].items()
-        if kind != "speculation_resolved"
-    }
     features = state.pop("_features")
     state["_features"] = (features.indices, features.matrix.tobytes())
     buffer = io.BytesIO()
@@ -270,6 +266,17 @@ def _state(tuner):
 
 def _speculate_threads():
     return [t.name for t in threading.enumerate() if "-speculate" in t.name]
+
+
+def _on_measured(seen):
+    """A sink adding the speculation threads alive at each measured batch
+    to ``seen``."""
+
+    def sink(_tuner, event):
+        if event.kind == "batch_measured":
+            seen.extend(_speculate_threads())
+
+    return sink
 
 
 def _faulty(measurer):
@@ -385,9 +392,10 @@ class TestInPlaceSpeculation:
         tuner = make_tuner(
             arm, TASK, seed=5, executor=_Unplugged, **ARM_KWARGS[arm]
         )
+        log = EventLog()
         with pytest.raises(ConnectionError):
-            tuner.tune(n_trial=n_trial, early_stopping=None)
-        assert tuner.event_counts["speculation_resolved"] == 2
+            tuner.tune(n_trial=n_trial, early_stopping=None, on_event=[log])
+        assert len(log.of_type(SpeculationResolved)) == 2
         assert not _speculate_threads()
         _never_speculate(monkeypatch)
         serial = make_tuner(
@@ -425,8 +433,8 @@ class TestInPlaceSpeculation:
         seen = []
         log = EventLog()
         _make("bted+bao", speculate=speculate).tune(
-            n_trial=n_trial, early_stopping=None, on_event=[log],
-            callbacks=[lambda t, results: seen.extend(_speculate_threads())],
+            n_trial=n_trial, early_stopping=None,
+            on_event=[log, _on_measured(seen)],
         )
         assert not seen
         assert not log.of_type(SpeculationResolved)
@@ -436,7 +444,7 @@ class TestInPlaceSpeculation:
         seen = []
         _make("bted+bao", speculate=True).tune(
             n_trial=N_TRIAL, early_stopping=None,
-            callbacks=[lambda t, results: seen.extend(_speculate_threads())],
+            on_event=[_on_measured(seen)],
         )
         assert seen and all(name.startswith("bted+bao-") for name in seen)
         assert not _speculate_threads()
